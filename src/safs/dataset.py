@@ -147,17 +147,14 @@ def _parse_outcome(raw: str, column: str, row: int) -> int:
     return value
 
 
-def _is_numeric_column(cells: list[str]) -> bool:
-    seen = False
-    for cell in cells:
-        if cell == "":
-            continue
-        try:
-            float(cell)
-        except ValueError:
-            return False
-        seen = True
-    return seen
+def _parse_numbers(cells: list[str]) -> np.ndarray | None:
+    """A numeric column's cells as floats (empty cells become nan), or None
+    when some cell is not a number or every cell is empty."""
+    try:
+        parsed = np.array([float(c) if c != "" else np.nan for c in cells])
+    except ValueError:
+        return None
+    return parsed if any(c != "" for c in cells) else None
 
 
 def _bin_labels(edges: np.ndarray) -> list[str]:
@@ -165,16 +162,19 @@ def _bin_labels(edges: np.ndarray) -> list[str]:
     return [f"({bounds[i]}, {bounds[i + 1]}]" for i in range(len(bounds) - 1)]
 
 
-def _encode_numeric(cells: list[str], bins: int, missing_label: str) -> tuple[list[str], np.ndarray]:
-    present = np.array([c != "" for c in cells])
-    values = np.array([float(c) for c, p in zip(cells, present) if p])
+def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
+                    missing_label: str) -> tuple[list[str], np.ndarray]:
+    present = ~np.isnan(parsed)  # empty and nan cells are missing
+    values = parsed[present]
+    if not np.isfinite(values).any():
+        raise DataError(f"numeric column {name!r} has no finite value")
     # interior quantile edges; ties collapse, possibly down to a single bin
     qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
     edges = np.unique(np.quantile(values, qs)) if qs.size else np.array([])
     # an edge at or above the max (or below the min) would leave a dead bin
     edges = edges[(edges >= values.min()) & (edges < values.max())]
     labels = _bin_labels(edges)
-    codes = np.zeros(len(cells), dtype=np.int32)
+    codes = np.zeros(parsed.size, dtype=np.int32)
     codes[present] = np.digitize(values, edges, right=True)
     if not present.all():
         codes[~present] = len(labels)
@@ -201,12 +201,14 @@ def load_csv(path, outcome_column: str,
 
     Numeric columns are quantile-binned per the discretization spec; text
     columns keep their distinct values in first-appearance order. Missing
-    cells (empty fields) become a dedicated category. The outcome column must
-    parse to {0, 1} ("0"/"1"/"true"/"false", case-insensitive).
+    cells (empty fields, and nan in numeric columns) become a dedicated
+    category. The outcome column must parse to {0, 1} ("0"/"1"/"true"/
+    "false", case-insensitive). A UTF-8 byte-order mark is skipped; duplicate
+    column names are rejected.
     """
     spec = discretization or DiscretizationSpec()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -216,6 +218,11 @@ def load_csv(path, outcome_column: str,
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
     if outcome_column not in header:
         raise DataError(f"outcome column {outcome_column!r} not found in header")
     if not rows:
@@ -234,8 +241,10 @@ def load_csv(path, outcome_column: str,
         if j == y_col:
             continue
         cells = [row[j] for row in rows]
-        if _is_numeric_column(cells):
-            labels, codes = _encode_numeric(cells, spec.bins_for(name), spec.missing_label)
+        parsed = _parse_numbers(cells)
+        if parsed is not None:
+            labels, codes = _encode_numeric(name, parsed, spec.bins_for(name),
+                                            spec.missing_label)
         else:
             labels, codes = _encode_text(cells, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))

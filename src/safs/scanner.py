@@ -4,6 +4,11 @@ Maximizes a Bernoulli likelihood-ratio statistic via coordinate ascent with
 random restarts. Each coordinate step finds the optimal value subset of one
 feature by rate-sorted prefix evaluation (the linear-time subset scanning
 property). An exhaustive oracle is provided for small instances.
+
+Cost: a scan keeps, per record, the number of constraints it violates, so
+the records matching every constraint but one are a single compare and a
+coordinate step costs O(N) for N records (plus O(C log C) to sort a
+feature's C values). A pass over K features costs O(K*N).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DiscreteDataset, constraints_bool_mask
+from .dataset import DiscreteDataset, _validate_constraints, constraints_bool_mask
 from .errors import DataError, SearchSpaceError
 
 OVER = "over"
@@ -198,6 +203,80 @@ def score_subgroup(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     return _score_counts(n_s, sum_y, mu, direction)
 
 
+class _ScanKernel:
+    """Coordinate-step state of one scan over a fixed feature list.
+
+    ``miss[f]`` marks the records that violate the current constraint on
+    feature f and ``count`` is, per record, how many constraints it
+    violates. The subgroup is ``count == 0``; with f's constraint lifted it
+    is again ``count == 0`` once ``miss[f]`` is subtracted, so a coordinate
+    step needs no mask rebuilt over the other features.
+    """
+
+    def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
+        self.mu = _checked_mu(dataset)
+        self.direction = direction
+        self.y = dataset.outcome.astype(np.float64)
+        self.cols = {f: np.ascontiguousarray(dataset.codes[:, f]) for f in features}
+        self.cards = {f: dataset.schemas[f].cardinality for f in features}
+        # a record violates at most one constraint per feature: no overflow
+        self.count = np.zeros(dataset.n_records, dtype=np.min_scalar_type(len(features)))
+        self.constraints: dict[int, frozenset[int]] = {}
+        self.miss: dict[int, np.ndarray] = {}
+
+    def _constrain(self, feature: int, values: frozenset[int]) -> None:
+        excluded = np.ones(self.cards[feature], dtype=bool)
+        excluded[list(values)] = False
+        miss = excluded.take(self.cols[feature])
+        self.count += miss
+        self.constraints[feature] = values
+        self.miss[feature] = miss
+
+    def _score(self, n_s: float, sum_y: float) -> float:
+        # the integers and the function score_subgroup uses: bit-identical
+        return _score_counts(int(n_s), int(sum_y), self.mu, self.direction)[0]
+
+    def load(self, descriptor: SubgroupDescriptor) -> float | None:
+        """Make ``descriptor`` the current subgroup and return its score,
+        or None when it matches no record."""
+        self.count.fill(0)
+        self.constraints, self.miss = {}, {}
+        for f, values in descriptor.constraints.items():
+            self._constrain(f, values)
+        matched = self.count == 0
+        n_s = np.count_nonzero(matched)
+        return self._score(n_s, self.y[matched].sum()) if n_s else None
+
+    def step(self, feature: int) -> tuple[frozenset[int] | None, float]:
+        """Replace one feature's constraint by the best value set given the
+        others; return that set (None: unconstrained) and the new score."""
+        old = self.miss.pop(feature, None)
+        if old is not None:
+            self.count -= old
+            del self.constraints[feature]
+        others = self.count == 0
+        codes = self.cols[feature][others]
+        y = self.y[others]
+        c = self.cards[feature]
+        counts = np.bincount(codes, minlength=c).astype(np.float64)
+        sums = np.bincount(codes, weights=y, minlength=c)
+        supported = np.flatnonzero(counts > 0)
+        if not supported.size:
+            raise DataError("no records match the remaining constraints")
+        rates = sums[supported] / counts[supported]
+        sign = -1.0 if self.direction == OVER else 1.0
+        order = supported[np.lexsort((supported, sign * rates))]
+        n_s = np.cumsum(counts[order])
+        sum_y = np.cumsum(sums[order])
+        scores = _score_counts_vec(n_s, sum_y, self.mu, self.direction)
+        best = int(scores.argmax())  # ties -> shortest prefix
+        if scores[-1] >= scores[best] - _EPS:
+            return None, self._score(n_s[-1], sum_y[-1])  # all supported values: vacuous
+        values = frozenset(int(v) for v in order[: best + 1])
+        self._constrain(feature, values)
+        return values, self._score(n_s[best], sum_y[best])
+
+
 def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
                      feature: int, direction: str = OVER) -> frozenset[int] | None:
     """Best included-value set for one feature, all other constraints fixed.
@@ -208,27 +287,12 @@ def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     Never worse than any other value subset, including the current one.
     """
     _check_direction(direction)
-    mu = _checked_mu(dataset)
     others = descriptor.replace(feature, None)
-    mask = constraints_bool_mask(dataset, others.constraints)
-    if not mask.any():
-        raise DataError("no records match the remaining constraints")
-    codes = dataset.codes[:, feature][mask]
-    y = dataset.outcome[mask].astype(np.float64)
-    c = dataset.schemas[feature].cardinality
-    counts = np.bincount(codes, minlength=c).astype(np.float64)
-    sums = np.bincount(codes, weights=y, minlength=c)
-    supported = np.flatnonzero(counts > 0)
-    rates = sums[supported] / counts[supported]
-    sign = -1.0 if direction == OVER else 1.0
-    order = supported[np.lexsort((supported, sign * rates))]
-    n_s = np.cumsum(counts[order])
-    sum_y = np.cumsum(sums[order])
-    scores = _score_counts_vec(n_s, sum_y, mu, direction)
-    best = int(scores.argmax())  # ties -> shortest prefix
-    if scores[-1] >= scores[best] - _EPS:
-        return None  # all supported values: constraint is vacuous
-    return frozenset(int(v) for v in order[: best + 1])
+    _validate_constraints(dataset, others.constraints)
+    feats = _validate_features(dataset, [feature, *others.constraints])
+    kernel = _ScanKernel(dataset, feats, direction)
+    kernel.load(others)
+    return kernel.step(feats[0])[0]
 
 
 def _random_descriptor(dataset: DiscreteDataset, features: Sequence[int],
@@ -257,20 +321,16 @@ def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
                       elapsed=elapsed)
 
 
-def _ascend(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
-            features: Sequence[int], direction: str, max_passes: int,
-            rng: np.random.Generator) -> tuple[SubgroupDescriptor, float]:
-    """Coordinate ascent from one starting descriptor to a local maximum."""
-    score, _ = score_subgroup(dataset, descriptor, direction)
+def _ascend(kernel: _ScanKernel, score: float, features: Sequence[int],
+            max_passes: int, rng: np.random.Generator) -> tuple[SubgroupDescriptor, float]:
+    """Coordinate ascent from the kernel's current subgroup to a local maximum."""
     for _ in range(max_passes):
         start = score
         for f in rng.permutation(np.asarray(features)):
-            new_set = optimize_feature(dataset, descriptor, int(f), direction)
-            descriptor = descriptor.replace(int(f), new_set)
-            score, _ = score_subgroup(dataset, descriptor, direction)
+            _, score = kernel.step(int(f))
         if score <= start + _EPS:
             break
-    return descriptor, score
+    return SubgroupDescriptor(kernel.constraints), score
 
 
 def _validate_features(dataset: DiscreteDataset, features: Sequence[int]) -> list[int]:
@@ -295,23 +355,21 @@ def scan(dataset: DiscreteDataset, features: Sequence[int],
     Deterministic given the seed.
     """
     feats = _validate_features(dataset, features)
-    _checked_mu(dataset)
     t0 = time.perf_counter()
+    kernel = _ScanKernel(dataset, feats, config.direction)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best: tuple[float, tuple, SubgroupDescriptor] | None = None
     for r in range(config.restarts):
         rng = np.random.default_rng(children[r])
-        if r == 0:
-            start = SubgroupDescriptor()
-        else:
+        score = None
+        if r > 0:
             for _ in range(100):
-                start = _random_descriptor(dataset, feats, rng)
-                if constraints_bool_mask(dataset, start.constraints).any():
+                score = kernel.load(_random_descriptor(dataset, feats, rng))
+                if score is not None:
                     break
-            else:
-                start = SubgroupDescriptor()
-        descriptor, score = _ascend(dataset, start, feats, config.direction,
-                                    config.max_passes, rng)
+        if score is None:
+            score = kernel.load(SubgroupDescriptor())
+        descriptor, score = _ascend(kernel, score, feats, config.max_passes, rng)
         key = descriptor.sort_key()
         if best is None or score > best[0] + _EPS or \
                 (score > best[0] - _EPS and key < best[1]):

@@ -47,6 +47,31 @@ class TestLoadCsv:
         assert ds.schemas[0].values[-1] == "⟨missing⟩"
         assert ds.decode(0, ds.codes[1, 0]) == "⟨missing⟩"
 
+    @pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
+    def test_nan_numeric_cell_is_missing(self, tmp_path, nan):
+        got = load_csv(write(tmp_path, f"x,y\n1.0,1\n{nan},0\n3.0,1\n4.0,0\n"), "y")
+        empty = load_csv(write(tmp_path, "x,y\n1.0,1\n,0\n3.0,1\n4.0,0\n", "e.csv"), "y")
+        assert got.schemas == empty.schemas
+        assert got.codes.tolist() == empty.codes.tolist()
+        assert got.decode(0, got.codes[1, 0]) == "⟨missing⟩"
+
+    def test_numeric_column_without_finite_value_rejected(self, tmp_path):
+        for cells in (["nan", "NaN"], ["nan", ""], ["inf", "nan"]):
+            text = "x,c,y\n" + "".join(f"{v},a,{i % 2}\n" for i, v in enumerate(cells))
+            with pytest.raises(DataError, match="'x'"):
+                load_csv(write(tmp_path, text), "y")
+
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("y,c\n1,A\n0,B\n".encode("utf-8-sig"))
+        ds = load_csv(path, "y")
+        assert ds.outcome.tolist() == [1, 0]
+        assert [s.name for s in ds.schemas] == ["c"]
+
+    def test_duplicate_header_name_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="'x'"):
+            load_csv(write(tmp_path, "x,x,y\nA,B,1\nC,D,0\n"), "y")
+
     def test_constant_numeric_column_collapses_to_one_bin(self, tmp_path):
         path = write(tmp_path, "x,y\n2.0,1\n2.0,0\n2.0,1\n")
         ds = load_csv(path, "y")

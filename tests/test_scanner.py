@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safs import (
     OVER,
@@ -18,6 +20,8 @@ from safs import (
     score_subgroup,
     subgroup_mask,
 )
+from safs.dataset import constraints_bool_mask
+from safs.scanner import _EPS, _ScanKernel, _score_counts_vec
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -304,3 +308,83 @@ class TestDescriptor:
         d = SubgroupDescriptor({0: {2, 0}})
         assert d == SubgroupDescriptor({0: {0, 2}})
         assert d.to_labels(ds) == {"color": ["0", "2"]}
+
+
+def reference_step(dataset, descriptor, feature, direction):
+    """One coordinate step the direct way: rebuild the mask of the other
+    constraints, then run the rate-sorted prefix scan over its records."""
+    mu = dataset.outcome_mean
+    mask = constraints_bool_mask(dataset, descriptor.replace(feature, None).constraints)
+    if not mask.any():
+        raise DataError("no records match the remaining constraints")
+    codes = dataset.codes[:, feature][mask]
+    y = dataset.outcome[mask].astype(np.float64)
+    c = dataset.schemas[feature].cardinality
+    counts = np.bincount(codes, minlength=c).astype(np.float64)
+    sums = np.bincount(codes, weights=y, minlength=c)
+    supported = np.flatnonzero(counts > 0)
+    rates = sums[supported] / counts[supported]
+    sign = -1.0 if direction == OVER else 1.0
+    order = supported[np.lexsort((supported, sign * rates))]
+    scores = _score_counts_vec(np.cumsum(counts[order]), np.cumsum(sums[order]),
+                               mu, direction)
+    best = int(scores.argmax())
+    if scores[-1] >= scores[best] - _EPS:
+        return None
+    return frozenset(int(v) for v in order[: best + 1])
+
+
+@st.composite
+def kernel_cases(draw, max_card=4, max_rows=300):
+    cards = draw(st.lists(st.integers(1, max_card), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, c - 1) for c in cards]),
+                         min_size=2, max_size=max_rows))
+    y = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    y[0], y[1] = 1, 0  # a non-degenerate outcome
+    dataset = make_dataset(cards, rows, y)
+    constraints = {}
+    for f, c in enumerate(cards):
+        values = draw(st.one_of(st.none(), st.sets(st.integers(0, c - 1), min_size=1)))
+        if values is not None:
+            constraints[f] = values
+    direction = draw(st.sampled_from([OVER, UNDER]))
+    return dataset, SubgroupDescriptor(constraints), direction
+
+
+class TestKernelProperties:
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kernel_cases(), steps=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    def test_steps_match_reference_and_rescoring(self, case, steps):
+        ds, descriptor, direction = case
+        feats = list(range(ds.n_features))
+        kernel = _ScanKernel(ds, feats, direction)
+        score = kernel.load(descriptor)
+        if constraints_bool_mask(ds, descriptor.constraints).any():
+            assert score == score_subgroup(ds, descriptor, direction)[0]
+        else:
+            assert score is None
+        for f in (s % ds.n_features for s in steps):
+            try:
+                expected = reference_step(ds, descriptor, f, direction)
+            except DataError:
+                with pytest.raises(DataError):
+                    optimize_feature(ds, descriptor, f, direction)
+                with pytest.raises(DataError):
+                    kernel.step(f)
+                return
+            assert optimize_feature(ds, descriptor, f, direction) == expected
+            values, score = kernel.step(f)
+            assert values == expected
+            descriptor = descriptor.replace(f, values)
+            assert kernel.constraints == descriptor.constraints
+            # exact: the carried score is the rescored one, bit for bit
+            assert score == score_subgroup(ds, descriptor, direction)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_cases(max_card=3, max_rows=60), seed=st.integers(0, 2**16))
+    def test_scan_never_beats_oracle(self, case, seed):
+        ds, _, direction = case
+        feats = list(range(ds.n_features))
+        got = scan(ds, feats, ScanConfig(direction=direction, restarts=3, seed=seed))
+        assert got.score <= brute_force_scan(ds, feats, direction).score + 1e-9
