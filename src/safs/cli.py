@@ -15,13 +15,14 @@ from pathlib import Path
 
 import click
 
-from .dataset import DEFAULT_MISSING_LABEL, DiscretizationSpec, load_csv
+from .dataset import (DEFAULT_BINS, DEFAULT_MISSING_LABEL, DiscreteDataset,
+                      DiscretizationSpec, load_csv)
 from .errors import DataError, SafsError
 from .evaluation import overlap_matrix, sweep_k
 from .ranking import (METHOD_MI, METHOD_SAFS, FeatureRanking,
                       mutual_information_rank, safs_rank, top_k)
 from .report import build_report, empirical_p_value, report_text
-from .scanner import OVER, ScanConfig, scan
+from .scanner import ScanConfig, ScanResult, scan
 
 SCHEMA = "safs/1"
 
@@ -31,25 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass
-class PipelineConfig:
-    """Resolved settings for one CLI invocation."""
-
-    input_path: str
-    outcome_col: str
-    bins: int = 5
-    missing_category: str = DEFAULT_MISSING_LABEL
-    method: str = "safs"
-    top_k: int | None = None
-    restarts: int = 10
-    direction: str = OVER
-    seed: int = 0
-    permutations: int = 100
-    threads: int = 1
-    out: str | None = None
-    fmt: str = "json"
 
 
 def canonical_json(doc: dict) -> str:
@@ -67,16 +49,56 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _load_dataset(cfg: PipelineConfig):
-    spec = DiscretizationSpec(bins=cfg.bins, missing_label=cfg.missing_category)
-    return load_csv(cfg.input_path, cfg.outcome_col, spec)
-
-
-def _rank(cfg: PipelineConfig, dataset) -> tuple[FeatureRanking, float]:
-    ranker = safs_rank if _METHODS[cfg.method] == METHOD_SAFS else mutual_information_rank
+def _load_and_rank(input_path: str, outcome_col: str, bins: int, missing_category: str,
+                   method: str) -> tuple[DiscreteDataset, FeatureRanking, float]:
+    """Load the CSV and rank its features; also returns the rank time (s)."""
+    spec = DiscretizationSpec(bins=bins, missing_label=missing_category)
+    dataset = load_csv(input_path, outcome_col, spec)
+    ranker = safs_rank if _METHODS[method] == METHOD_SAFS else mutual_information_rank
     t0 = time.perf_counter()
     ranking = ranker(dataset)
-    return ranking, time.perf_counter() - t0
+    return dataset, ranking, time.perf_counter() - t0
+
+
+@dataclass(frozen=True)
+class _ScanRun:
+    """One load -> rank -> top-K -> scan run."""
+
+    dataset: DiscreteDataset
+    ranking: FeatureRanking
+    features: list[int]
+    config: ScanConfig
+    result: ScanResult
+    rank_seconds: float
+
+    def payload(self) -> dict:
+        result = self.result
+        return {
+            "kind": "scan",
+            "method": self.ranking.method,
+            "top_k": len(self.features),
+            "direction": self.config.direction,
+            "restarts": self.config.restarts,
+            "seed": self.config.seed,
+            "descriptor": result.descriptor.to_labels(self.dataset),
+            "score": result.score,
+            "q_hat": result.q_hat if result.q_hat != float("inf") else "inf",
+            "subset_size": result.subset_size,
+            "subset_fraction": result.subset_size / self.dataset.n_records,
+        }
+
+    def volatile(self) -> dict:
+        return {"rank_ms": self.rank_seconds * 1000, "scan_ms": self.result.elapsed * 1000}
+
+
+def _scan_run(k: int | None, restarts: int, direction: str, seed: int,
+              **load) -> _ScanRun:
+    """Scan the top-k ranked features (all of them when k is None)."""
+    dataset, ranking, rank_seconds = _load_and_rank(**load)
+    features = top_k(ranking, dataset.n_features if k is None else k)
+    config = ScanConfig(direction=direction, restarts=restarts, seed=seed)
+    return _ScanRun(dataset, ranking, features, config,
+                    scan(dataset, features, config), rank_seconds)
 
 
 def _ranking_payload(dataset, ranking: FeatureRanking, selected: list[int] | None) -> dict:
@@ -100,80 +122,6 @@ def _ranking_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_rank(cfg: PipelineConfig) -> dict:
-    dataset = _load_dataset(cfg)
-    ranking, elapsed = _rank(cfg, dataset)
-    selected = top_k(ranking, cfg.top_k) if cfg.top_k is not None else None
-    payload = _ranking_payload(dataset, ranking, selected)
-    doc = _document("ranking", payload, {"elapsed_ms": elapsed * 1000})
-    text = _ranking_text(payload) if cfg.fmt == "text" else canonical_json(doc)
-    _emit(text, cfg.out)
-    return doc
-
-
-def _scan_payload(cfg: PipelineConfig, dataset, ranking, features, result) -> dict:
-    return {
-        "kind": "scan",
-        "method": ranking.method,
-        "top_k": len(features),
-        "direction": cfg.direction,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-        "descriptor": result.descriptor.to_labels(dataset),
-        "score": result.score,
-        "q_hat": result.q_hat if result.q_hat != float("inf") else "inf",
-        "subset_size": result.subset_size,
-        "subset_fraction": result.subset_size / dataset.n_records,
-    }
-
-
-def cmd_scan(cfg: PipelineConfig) -> dict:
-    dataset = _load_dataset(cfg)
-    ranking, rank_elapsed = _rank(cfg, dataset)
-    k = cfg.top_k if cfg.top_k is not None else dataset.n_features
-    features = top_k(ranking, k)
-    config = ScanConfig(direction=cfg.direction, restarts=cfg.restarts, seed=cfg.seed)
-    result = scan(dataset, features, config)
-    payload = _scan_payload(cfg, dataset, ranking, features, result)
-    volatile = {"rank_ms": rank_elapsed * 1000, "scan_ms": result.elapsed * 1000}
-    doc = _document("scan", payload, volatile)
-    if cfg.fmt == "text":
-        text = report_text(build_report(dataset, result), dataset) + "\n"
-    else:
-        text = canonical_json(doc)
-    _emit(text, cfg.out)
-    return doc
-
-
-def cmd_pipeline(cfg: PipelineConfig) -> dict:
-    dataset = _load_dataset(cfg)
-    ranking, rank_elapsed = _rank(cfg, dataset)
-    k = cfg.top_k if cfg.top_k is not None else dataset.n_features
-    features = top_k(ranking, k)
-    config = ScanConfig(direction=cfg.direction, restarts=cfg.restarts, seed=cfg.seed)
-    result = scan(dataset, features, config)
-    p_value = empirical_p_value(dataset, features, config, result.score,
-                                cfg.permutations, cfg.threads)
-    report = build_report(dataset, result, p_value)
-    payload = _scan_payload(cfg, dataset, ranking, features, result)
-    payload.update({
-        "kind": "pipeline",
-        "n_features": report.n_features,
-        "n_values": report.n_values,
-        "subset_pct": report.subset_pct,
-        "odds_ratio": report.odds_ratio,
-        "ci": [report.ci_low, report.ci_high],
-        "p_value": report.p_value,
-        "permutations": cfg.permutations,
-        "no_divergence": report.no_divergence,
-    })
-    volatile = {"rank_ms": rank_elapsed * 1000, "scan_ms": result.elapsed * 1000}
-    doc = _document("pipeline", payload, volatile)
-    text = report_text(report, dataset) + "\n" if cfg.fmt == "text" else canonical_json(doc)
-    _emit(text, cfg.out)
-    return doc
-
-
 def _load_ranking_file(path: str) -> tuple[str, list[str]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -185,91 +133,41 @@ def _load_ranking_file(path: str) -> tuple[str, list[str]]:
     return doc["payload"]["method"], [e["feature"] for e in entries]
 
 
-def cmd_compare(paths: list[str], p: float, out: str | None, fmt: str) -> dict:
-    rankings = {}
-    for path in paths:
-        method, features = _load_ranking_file(path)
-        name = method if method not in rankings else f"{method}:{path}"
-        rankings[name] = features
-    matrix = overlap_matrix(rankings, p)
-    payload = {
-        "kind": "rbo-matrix",
-        "p": p,
-        "methods": list(matrix.methods),
-        "matrix": [[round(v, 12) for v in row] for row in matrix.matrix.tolist()],
-    }
-    doc = _document("rbo-matrix", payload, {})
-    if fmt == "text":
-        width = max(len(m) for m in matrix.methods)
-        lines = [f"{m:<{width}}  " + "  ".join(f"{v:.4f}" for v in row)
-                 for m, row in zip(matrix.methods, matrix.matrix)]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = canonical_json(doc)
-    _emit(text, out)
-    return doc
+def _options(*opts):
+    def apply(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+    return apply
 
 
-def cmd_sweep(cfg: PipelineConfig, k_values: list[int]) -> list[dict]:
-    dataset = _load_dataset(cfg)
-    ranking, _ = _rank(cfg, dataset)
-    config = ScanConfig(direction=cfg.direction, restarts=cfg.restarts, seed=cfg.seed)
-    entries = sweep_k(dataset, ranking, k_values, config, cfg.permutations)
-    docs = []
-    for entry in entries:
-        payload = {
-            "kind": "sweep-entry",
-            "method": ranking.method,
-            "k": entry.k,
-            "descriptor": entry.result.descriptor.to_labels(dataset),
-            "score": entry.result.score,
-            "subset_size": entry.report.subset_size,
-            "subset_pct": entry.report.subset_pct,
-            "n_features": entry.report.n_features,
-            "n_values": entry.report.n_values,
-            "odds_ratio": entry.report.odds_ratio,
-            "ci": [entry.report.ci_low, entry.report.ci_high],
-            "p_value": entry.report.p_value,
-            "jaccard_vs_full": entry.jaccard_vs_full,
-        }
-        volatile = {"scan_seconds": entry.timing.seconds}
-        docs.append(_document("sweep-entry", payload, volatile))
-    text = "".join(json.dumps(d, sort_keys=True, ensure_ascii=False) + "\n" for d in docs)
-    _emit(text, cfg.out)
-    return docs
+_common_options = _options(
+    click.option("--input", "input_path", required=True,
+                 type=click.Path(), help="Input CSV file."),
+    click.option("--outcome-col", required=True, help="Binary outcome column."),
+    click.option("--bins", default=DEFAULT_BINS, show_default=True, type=int,
+                 help="Quantile bins for numeric columns."),
+    click.option("--missing-category", default=DEFAULT_MISSING_LABEL,
+                 help="Label for the missing-value category."),
+    click.option("--method", default="safs", show_default=True,
+                 type=click.Choice(sorted(_METHODS))),
+    click.option("--out", default=None, type=click.Path(),
+                 help="Output path (stdout if omitted)."),
+    click.option("--format", "fmt", default="json", show_default=True,
+                 type=click.Choice(["json", "text"])),
+)
 
+_scan_options = _options(
+    click.option("--restarts", default=10, show_default=True, type=int),
+    click.option("--direction", default="over", show_default=True,
+                 type=click.Choice(["over", "under"])),
+    click.option("--seed", default=0, show_default=True, type=int),
+)
 
-def _common_options(fn):
-    opts = [
-        click.option("--input", "input_path", required=True,
-                     type=click.Path(), help="Input CSV file."),
-        click.option("--outcome-col", required=True, help="Binary outcome column."),
-        click.option("--bins", default=5, show_default=True, type=int,
-                     help="Quantile bins for numeric columns."),
-        click.option("--missing-category", default=DEFAULT_MISSING_LABEL,
-                     help="Label for the missing-value category."),
-        click.option("--method", default="safs", show_default=True,
-                     type=click.Choice(sorted(_METHODS))),
-        click.option("--out", default=None, type=click.Path(),
-                     help="Output path (stdout if omitted)."),
-        click.option("--format", "fmt", default="json", show_default=True,
-                     type=click.Choice(["json", "text"])),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
-
-
-def _scan_options(fn):
-    opts = [
-        click.option("--restarts", default=10, show_default=True, type=int),
-        click.option("--direction", default="over", show_default=True,
-                     type=click.Choice(["over", "under"])),
-        click.option("--seed", default=0, show_default=True, type=int),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_top_k_option = click.option(
+    "--top-k", default=None, type=int,
+    help="Keep the top-K ranked features: rank lists them, scan and pipeline "
+         "scan only them (default: all).")
 
 
 @click.group()
@@ -280,32 +178,58 @@ def cli():
 
 @cli.command("rank")
 @_common_options
-@click.option("--top-k", default=None, type=int, help="Also list the top-K features.")
-def rank_command(**kw):
+@_top_k_option
+def rank_command(out, fmt, **kw):
     """Rank features and write the ranking artifact."""
-    cmd_rank(PipelineConfig(**kw))
+    k = kw.pop("top_k")
+    dataset, ranking, elapsed = _load_and_rank(**kw)
+    selected = top_k(ranking, k) if k is not None else None
+    payload = _ranking_payload(dataset, ranking, selected)
+    doc = _document("ranking", payload, {"elapsed_ms": elapsed * 1000})
+    _emit(_ranking_text(payload) if fmt == "text" else canonical_json(doc), out)
 
 
 @cli.command("scan")
 @_common_options
 @_scan_options
-@click.option("--top-k", default=None, type=int,
-              help="Scan only the top-K ranked features (default: all).")
-def scan_command(**kw):
+@_top_k_option
+def scan_command(top_k, out, fmt, **kw):
     """Rank, select top-K features, and scan for the most divergent subgroup."""
-    cmd_scan(PipelineConfig(**kw))
+    run = _scan_run(top_k, **kw)
+    if fmt == "text":
+        text = report_text(build_report(run.dataset, run.result), run.dataset) + "\n"
+    else:
+        text = canonical_json(_document("scan", run.payload(), run.volatile()))
+    _emit(text, out)
 
 
 @cli.command("pipeline")
 @_common_options
 @_scan_options
-@click.option("--top-k", default=None, type=int,
-              help="Scan only the top-K ranked features (default: all).")
+@_top_k_option
 @click.option("--permutations", default=100, show_default=True, type=int)
 @click.option("--threads", default=1, show_default=True, type=int)
-def pipeline_command(**kw):
+def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     """Full run: rank, scan, permutation test, subgroup report."""
-    cmd_pipeline(PipelineConfig(**kw))
+    run = _scan_run(top_k, **kw)
+    p_value = empirical_p_value(run.dataset, run.features, run.config,
+                                run.result.score, permutations, threads)
+    report = build_report(run.dataset, run.result, p_value)
+    payload = run.payload()
+    payload.update({
+        "kind": "pipeline",
+        "n_features": report.n_features,
+        "n_values": report.n_values,
+        "subset_pct": report.subset_pct,
+        "odds_ratio": report.odds_ratio,
+        "ci": [report.ci_low, report.ci_high],
+        "p_value": report.p_value,
+        "permutations": permutations,
+        "no_divergence": report.no_divergence,
+    })
+    doc = _document("pipeline", payload, run.volatile())
+    _emit(report_text(report, run.dataset) + "\n" if fmt == "text" else canonical_json(doc),
+          out)
 
 
 @cli.command("compare")
@@ -319,7 +243,26 @@ def compare_command(paths, persistence, out, fmt):
     """Pairwise rank-biased overlap of saved rankings."""
     if len(paths) < 2:
         raise click.UsageError("need at least two --rankings files")
-    cmd_compare(list(paths), persistence, out, fmt)
+    rankings = {}
+    for path in paths:
+        method, features = _load_ranking_file(path)
+        name = method if method not in rankings else f"{method}:{path}"
+        rankings[name] = features
+    matrix = overlap_matrix(rankings, persistence)
+    payload = {
+        "kind": "rbo-matrix",
+        "p": persistence,
+        "methods": list(matrix.methods),
+        "matrix": [[round(v, 12) for v in row] for row in matrix.matrix.tolist()],
+    }
+    if fmt == "text":
+        width = max(len(m) for m in matrix.methods)
+        lines = [f"{m:<{width}}  " + "  ".join(f"{v:.4f}" for v in row)
+                 for m, row in zip(matrix.methods, matrix.matrix)]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = canonical_json(_document("rbo-matrix", payload, {}))
+    _emit(text, out)
 
 
 @cli.command("sweep")
@@ -329,13 +272,36 @@ def compare_command(paths, persistence, out, fmt):
               help="Comma-separated ascending K values, e.g. 5,10,15.")
 @click.option("--permutations", default=0, show_default=True, type=int,
               help="Permutation replicates per K (0 skips the p-value).")
-def sweep_command(k_spec, **kw):
+def sweep_command(k_spec, permutations, restarts, direction, seed, out, fmt, **load):
     """Scan each top-K prefix and emit one JSON line per K."""
     try:
         k_values = [int(v) for v in k_spec.split(",") if v.strip()]
     except ValueError:
         raise click.UsageError(f"cannot parse --k value {k_spec!r}") from None
-    cmd_sweep(PipelineConfig(**kw), k_values)
+    dataset, ranking, _ = _load_and_rank(**load)
+    config = ScanConfig(direction=direction, restarts=restarts, seed=seed)
+    entries = sweep_k(dataset, ranking, k_values, config, permutations)
+    lines = []
+    for entry in entries:
+        report = entry.report
+        payload = {
+            "kind": "sweep-entry",
+            "method": ranking.method,
+            "k": entry.k,
+            "descriptor": entry.result.descriptor.to_labels(dataset),
+            "score": entry.result.score,
+            "subset_size": report.subset_size,
+            "subset_pct": report.subset_pct,
+            "n_features": report.n_features,
+            "n_values": report.n_values,
+            "odds_ratio": report.odds_ratio,
+            "ci": [report.ci_low, report.ci_high],
+            "p_value": report.p_value,
+            "jaccard_vs_full": entry.jaccard_vs_full,
+        }
+        doc = _document("sweep-entry", payload, {"scan_seconds": entry.timing.seconds})
+        lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
+    _emit("".join(lines), out)
 
 
 def main(argv=None) -> int:

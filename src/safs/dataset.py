@@ -8,7 +8,7 @@ share across threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,20 +63,16 @@ class ContingencyTable:
 class DiscretizationSpec:
     """How numeric columns are binned during ingestion.
 
-    ``bins`` is the default quantile-bin count; ``per_column`` overrides it
-    for named columns. Missing cells (empty string) map to a dedicated
-    category in every feature.
+    ``bins`` is the quantile-bin count of every numeric column. Missing
+    cells (empty string) map to a dedicated category in every feature.
     """
 
     bins: int = DEFAULT_BINS
-    per_column: Mapping[str, int] = field(default_factory=dict)
     missing_label: str = DEFAULT_MISSING_LABEL
 
-    def bins_for(self, column: str) -> int:
-        n = int(self.per_column.get(column, self.bins))
-        if n < 1:
-            raise DataError(f"bin count for {column!r} must be >= 1, got {n}")
-        return n
+    def __post_init__(self):
+        if self.bins < 1:
+            raise DataError(f"bin count must be >= 1, got {self.bins}")
 
 
 class DiscreteDataset:
@@ -166,13 +162,14 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
                     missing_label: str) -> tuple[list[str], np.ndarray]:
     present = ~np.isnan(parsed)  # empty and nan cells are missing
     values = parsed[present]
-    if not np.isfinite(values).any():
+    finite = values[np.isfinite(values)]  # -inf and inf join the edge bins
+    if not finite.size:
         raise DataError(f"numeric column {name!r} has no finite value")
     # interior quantile edges; ties collapse, possibly down to a single bin
     qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.unique(np.quantile(values, qs)) if qs.size else np.array([])
+    edges = np.unique(np.quantile(finite, qs)) if qs.size else np.array([])
     # an edge at or above the max (or below the min) would leave a dead bin
-    edges = edges[(edges >= values.min()) & (edges < values.max())]
+    edges = edges[(edges >= finite.min()) & (edges < finite.max())]
     labels = _bin_labels(edges)
     codes = np.zeros(parsed.size, dtype=np.int32)
     codes[present] = np.digitize(values, edges, right=True)
@@ -243,8 +240,7 @@ def load_csv(path, outcome_column: str,
         cells = [row[j] for row in rows]
         parsed = _parse_numbers(cells)
         if parsed is not None:
-            labels, codes = _encode_numeric(name, parsed, spec.bins_for(name),
-                                            spec.missing_label)
+            labels, codes = _encode_numeric(name, parsed, spec.bins, spec.missing_label)
         else:
             labels, codes = _encode_text(cells, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))
@@ -271,17 +267,22 @@ def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyT
     return ContingencyTable(alpha, beta, delta, gamma)
 
 
-def _validate_constraints(dataset: DiscreteDataset,
-                          constraints: Mapping[int, Iterable[int]]) -> dict[int, frozenset[int]]:
+def _validate_constraints(constraints: Mapping[int, Iterable[int]],
+                          dataset: DiscreteDataset | None = None) -> dict[int, frozenset[int]]:
+    """A constraint mapping as feature index -> non-empty frozenset of codes,
+    in feature order. Given a dataset, every feature index and value code
+    must also lie in its range."""
+    items = dict(constraints)
     out: dict[int, frozenset[int]] = {}
-    for feature, values in constraints.items():
-        if not 0 <= feature < dataset.n_features:
+    for key in sorted(items):
+        feature = int(key)
+        if dataset is not None and not 0 <= feature < dataset.n_features:
             raise DataError(f"descriptor references unknown feature index {feature}")
-        values = frozenset(int(v) for v in values)
-        card = dataset.schemas[feature].cardinality
+        values = frozenset(int(v) for v in items[key])
         if not values:
             raise DataError(f"descriptor has an empty value set for feature {feature}")
-        if any(not 0 <= v < card for v in values):
+        if dataset is not None and not all(
+                0 <= v < dataset.schemas[feature].cardinality for v in values):
             raise DataError(f"descriptor references out-of-range values for feature {feature}")
         out[feature] = values
     return out
@@ -290,7 +291,7 @@ def _validate_constraints(dataset: DiscreteDataset,
 def constraints_bool_mask(dataset: DiscreteDataset,
                           constraints: Mapping[int, Iterable[int]]) -> np.ndarray:
     """Boolean record mask for an AND-of-ORs constraint mapping."""
-    valid = _validate_constraints(dataset, constraints)
+    valid = _validate_constraints(constraints, dataset)
     mask = np.ones(dataset.n_records, dtype=bool)
     for feature, values in valid.items():
         mask &= np.isin(dataset.codes[:, feature], sorted(values))

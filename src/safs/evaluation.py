@@ -3,7 +3,6 @@ similarity of detected record sets, and top-K sweeps with timing capture."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +17,8 @@ from .scanner import ScanConfig, ScanResult, scan
 
 @dataclass(frozen=True)
 class TimingRecord:
-    phase: str  # "rank" | "scan"
+    """Wall time of one sweep scan."""
+
     method: str
     k: int
     seconds: float
@@ -102,29 +102,25 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
         raise DataError(f"k values must lie in [1, {m}]")
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise DataError("k values must be strictly ascending")
+    if permutations < 0:
+        raise DataError(f"permutations must be >= 0, got {permutations}")
 
-    def run(k: int) -> tuple[ScanResult, TimingRecord]:
-        features = top_k(ranking, k)
-        t0 = time.perf_counter()
-        result = scan(dataset, features, config)
-        return result, TimingRecord("scan", ranking.method, k,
-                                    time.perf_counter() - t0)
-
-    full_result, full_timing = run(m)
-    full_set = set(full_result.matched.tolist())
+    full = scan(dataset, top_k(ranking, m), config)
+    full_set = set(full.matched.tolist())
 
     entries = []
     for k in ks:
-        result, timing = (full_result, full_timing) if k == m else run(k)
+        features = top_k(ranking, k)
+        result = full if k == m else scan(dataset, features, config)
         p_value = None
         if permutations > 0:
-            p_value = empirical_p_value(dataset, top_k(ranking, k), config,
+            p_value = empirical_p_value(dataset, features, config,
                                         result.score, permutations)
         entries.append(SweepEntry(
             k=k,
             result=result,
             report=build_report(dataset, result, p_value),
-            timing=timing,
+            timing=TimingRecord(ranking.method, k, result.elapsed),
             jaccard_vs_full=jaccard(result.matched.tolist(), full_set),
         ))
     return entries

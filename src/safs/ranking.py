@@ -39,14 +39,11 @@ def yules_y(table: ContingencyTable) -> float:
     the result is always finite and strictly inside (-1, 1) for corrected
     tables.
     """
-    a, b, d, g = table.alpha, table.beta, table.delta, table.gamma
-    if a + b + d + g == 0:
+    if table.total == 0:
         raise DataError("all-zero contingency table")
-    if min(a, b, d, g) == 0:
-        a, b, d, g = a + 0.5, b + 0.5, d + 0.5, g + 0.5
-    ag = np.sqrt(a * g)
-    bd = np.sqrt(b * d)
-    return float((ag - bd) / (ag + bd))
+    cells = np.array([[table.alpha], [table.beta], [table.delta], [table.gamma]],
+                     dtype=np.float64)
+    return float(_yules_y_cells(cells)[0])
 
 
 def gini_index(values) -> float:
@@ -83,16 +80,19 @@ def _per_value_tables(dataset: DiscreteDataset, feature: int):
     return alpha, beta, delta, gamma
 
 
-def yules_y_per_value(dataset: DiscreteDataset, feature: int) -> np.ndarray:
-    """Yule's Y for every value of one feature, with the same zero-cell
-    correction as :func:`yules_y`."""
-    alpha, beta, delta, gamma = _per_value_tables(dataset, feature)
-    cells = np.stack([alpha, beta, delta, gamma])
-    needs_fix = (cells == 0).any(axis=0)
-    cells = cells + 0.5 * needs_fix
+def _yules_y_cells(cells: np.ndarray) -> np.ndarray:
+    """Yule's Y per column of a (4, C) array of (alpha, beta, delta, gamma)
+    counts, with the zero-cell correction of :func:`yules_y`."""
+    cells = cells + 0.5 * (cells == 0).any(axis=0)
     ag = np.sqrt(cells[0] * cells[3])
     bd = np.sqrt(cells[1] * cells[2])
     return (ag - bd) / (ag + bd)
+
+
+def yules_y_per_value(dataset: DiscreteDataset, feature: int) -> np.ndarray:
+    """Yule's Y for every value of one feature (the table of
+    ``stratify(dataset, feature, value)``)."""
+    return _yules_y_cells(np.stack(_per_value_tables(dataset, feature)))
 
 
 def _ordered_entries(method: str, scores: np.ndarray) -> FeatureRanking:

@@ -65,6 +65,8 @@ def empirical_p_value(dataset: DiscreteDataset, features: Sequence[int],
     """
     if permutations < 1:
         raise DataError("permutations must be >= 1")
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
     seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)
 
     def replicate(seed) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +29,9 @@ OVER = "over"
 UNDER = "under"
 
 _EPS = 1e-12
+# bound on the score formula's rounding noise near q_hat = 1, per record
+# (counts at exactly the global rate stay under one ulp)
+_NOISE_PER_RECORD = 4 * sys.float_info.epsilon
 _BRUTE_FORCE_GUARD = 10_000_000
 
 
@@ -47,14 +51,7 @@ class SubgroupDescriptor:
     __slots__ = ("constraints",)
 
     def __init__(self, constraints: Mapping[int, Iterable[int]] = ()):
-        items = dict(constraints)
-        norm: dict[int, frozenset[int]] = {}
-        for feature in sorted(items):
-            values = frozenset(int(v) for v in items[feature])
-            if not values:
-                raise DataError(f"empty value set for feature {feature}")
-            norm[int(feature)] = values
-        self.constraints = norm
+        self.constraints = _validate_constraints(constraints)
 
     def normalize(self, dataset: DiscreteDataset) -> "SubgroupDescriptor":
         """Drop constraints that include every category of their feature."""
@@ -145,7 +142,12 @@ def q_mle(n_s: int, sum_y: int, mu: float) -> float:
 
 
 def _score_counts(n_s: int, sum_y: int, mu: float, direction: str) -> tuple[float, float]:
-    """(score, clamped q_hat) for aggregate subgroup counts."""
+    """(score, clamped q_hat) for aggregate subgroup counts.
+
+    The only evaluation of the score. It uses math.log, whose result does
+    not depend on the CPU: numpy's SIMD np.log differs from it in the last
+    bit on some inputs.
+    """
     q = q_mle(n_s, sum_y, mu)
     if direction == OVER:
         if q <= 1.0:
@@ -159,28 +161,18 @@ def _score_counts(n_s: int, sum_y: int, mu: float, direction: str) -> tuple[floa
         if q == 0.0:
             # limit as q -> 0 with sum_y == 0
             return -n_s * math.log(1.0 - mu), 0.0
-    return math.log(q) * sum_y - n_s * math.log(1.0 - mu + q * mu), q
+    score = math.log(q) * sum_y - n_s * math.log(1.0 - mu + q * mu)
+    # near q_hat = 1 the two terms cancel to rounding noise of either sign;
+    # a score of exactly 0 is what marks a subgroup as not divergent
+    return (0.0 if abs(score) < n_s * _NOISE_PER_RECORD else score), q
 
 
 def _score_counts_vec(n_s: np.ndarray, sum_y: np.ndarray, mu: float,
                       direction: str) -> np.ndarray:
-    """Vectorized score for arrays of aggregate counts (n_s >= 1)."""
-    n_s = n_s.astype(np.float64)
-    sum_y = sum_y.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (sum_y * (1.0 - mu)) / (mu * (n_s - sum_y))
-    if direction == OVER:
-        limit = sum_y == n_s  # q -> inf branch, score has an analytic limit
-        q_eff = np.where(limit | (q <= 1.0), 1.0, q)
-        limit_score = -n_s * math.log(mu)
-    else:
-        limit = sum_y == 0  # q -> 0 branch
-        q_eff = np.where(limit | (q >= 1.0), 1.0, q)
-        limit_score = -n_s * math.log(1.0 - mu)
-    scores = np.where(q_eff != 1.0,
-                      np.log(q_eff) * sum_y - n_s * np.log(1.0 - mu + q_eff * mu),
-                      0.0)
-    return np.where(limit, limit_score, scores)
+    """:func:`_score_counts` of each entry of two count arrays, so the score
+    a scan carries is bit-identical to the one it reports."""
+    return np.array([_score_counts(a, b, mu, direction)[0]
+                     for a, b in zip(n_s.tolist(), sum_y.tolist())])
 
 
 def _checked_mu(dataset: DiscreteDataset) -> float:
@@ -190,17 +182,23 @@ def _checked_mu(dataset: DiscreteDataset) -> float:
     return mu
 
 
+def _scored_mask(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
+                 direction: str) -> tuple[np.ndarray, int, tuple[float, float]]:
+    """A subgroup's record mask, its positive count, and (score, q_hat)."""
+    mu = _checked_mu(dataset)
+    mask = constraints_bool_mask(dataset, descriptor.constraints)
+    n_s = int(np.count_nonzero(mask))
+    if n_s == 0:
+        raise DataError("descriptor matches no records")
+    sum_y = int(dataset.outcome[mask].sum())
+    return mask, sum_y, _score_counts(n_s, sum_y, mu, direction)
+
+
 def score_subgroup(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
                    direction: str = OVER) -> tuple[float, float]:
     """Likelihood-ratio score and clamped q_hat for one subgroup."""
     _check_direction(direction)
-    mu = _checked_mu(dataset)
-    mask = constraints_bool_mask(dataset, descriptor.constraints)
-    n_s = int(mask.sum())
-    if n_s == 0:
-        raise DataError("descriptor matches no records")
-    sum_y = int(dataset.outcome[mask].sum())
-    return _score_counts(n_s, sum_y, mu, direction)
+    return _scored_mask(dataset, descriptor, direction)[2]
 
 
 class _ScanKernel:
@@ -232,10 +230,6 @@ class _ScanKernel:
         self.constraints[feature] = values
         self.miss[feature] = miss
 
-    def _score(self, n_s: float, sum_y: float) -> float:
-        # the integers and the function score_subgroup uses: bit-identical
-        return _score_counts(int(n_s), int(sum_y), self.mu, self.direction)[0]
-
     def load(self, descriptor: SubgroupDescriptor) -> float | None:
         """Make ``descriptor`` the current subgroup and return its score,
         or None when it matches no record."""
@@ -245,7 +239,9 @@ class _ScanKernel:
             self._constrain(f, values)
         matched = self.count == 0
         n_s = np.count_nonzero(matched)
-        return self._score(n_s, self.y[matched].sum()) if n_s else None
+        if not n_s:
+            return None
+        return _score_counts(n_s, int(self.y[matched].sum()), self.mu, self.direction)[0]
 
     def step(self, feature: int) -> tuple[frozenset[int] | None, float]:
         """Replace one feature's constraint by the best value set given the
@@ -271,10 +267,10 @@ class _ScanKernel:
         scores = _score_counts_vec(n_s, sum_y, self.mu, self.direction)
         best = int(scores.argmax())  # ties -> shortest prefix
         if scores[-1] >= scores[best] - _EPS:
-            return None, self._score(n_s[-1], sum_y[-1])  # all supported values: vacuous
+            return None, float(scores[-1])  # all supported values: vacuous
         values = frozenset(int(v) for v in order[: best + 1])
         self._constrain(feature, values)
-        return values, self._score(n_s[best], sum_y[best])
+        return values, float(scores[best])
 
 
 def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
@@ -288,7 +284,7 @@ def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     """
     _check_direction(direction)
     others = descriptor.replace(feature, None)
-    _validate_constraints(dataset, others.constraints)
+    _validate_constraints(others.constraints, dataset)
     feats = _validate_features(dataset, [feature, *others.constraints])
     kernel = _ScanKernel(dataset, feats, direction)
     kernel.load(others)
@@ -312,13 +308,11 @@ def _random_descriptor(dataset: DiscreteDataset, features: Sequence[int],
 
 def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
                  direction: str, elapsed: float) -> ScanResult:
-    score, q_hat = score_subgroup(dataset, descriptor, direction)
-    mask = constraints_bool_mask(dataset, descriptor.constraints)
+    mask, sum_y, (score, q_hat) = _scored_mask(dataset, descriptor, direction)
     matched = np.flatnonzero(mask)
     return ScanResult(descriptor=descriptor, score=score, q_hat=q_hat,
                       matched=matched, subset_size=int(matched.size),
-                      subset_outcome_sum=int(dataset.outcome[mask].sum()),
-                      elapsed=elapsed)
+                      subset_outcome_sum=sum_y, elapsed=elapsed)
 
 
 def _ascend(kernel: _ScanKernel, score: float, features: Sequence[int],
@@ -378,10 +372,6 @@ def scan(dataset: DiscreteDataset, features: Sequence[int],
                         time.perf_counter() - t0)
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits_from_bool(mask: np.ndarray) -> int:
     """Pack a boolean record mask into an arbitrary-precision bitmask."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
@@ -423,30 +413,27 @@ def brute_force_scan(dataset: DiscreteDataset, features: Sequence[int],
             opts.append((frozenset(v for v in range(c) if k >> v & 1), bits))
         options.append(opts)
 
-    best_score = -math.inf
-    best_key = None
-    best_desc = None
+    def descriptor_of(combo) -> SubgroupDescriptor:
+        return SubgroupDescriptor({f: vs for f, (vs, _) in zip(feats, combo)
+                                   if vs is not None})
+
+    best_score, best_key, best_combo = -math.inf, None, None
     for combo in itertools.product(*options):
         mask = all_ones
         for _, bits in combo:
             mask &= bits
-        n_s = _popcount(mask)
+        n_s = mask.bit_count()
         if n_s == 0:
             continue
-        sum_y = _popcount(mask & y_bits)
-        score, _ = _score_counts(n_s, sum_y, mu, direction)
+        score, _ = _score_counts(n_s, (mask & y_bits).bit_count(), mu, direction)
         if score > best_score + _EPS:
-            best_score, best_key, best_desc = score, None, combo
+            best_score, best_key, best_combo = score, None, combo
         elif score > best_score - _EPS:
-            desc = SubgroupDescriptor({f: vs for f, (vs, _) in zip(feats, combo)
-                                       if vs is not None})
             if best_key is None:
-                best_key = SubgroupDescriptor(
-                    {f: vs for f, (vs, _) in zip(feats, best_desc)
-                     if vs is not None}).sort_key()
-            if desc.sort_key() < best_key:
-                best_score, best_key, best_desc = score, desc.sort_key(), combo
+                best_key = descriptor_of(best_combo).sort_key()
+            key = descriptor_of(combo).sort_key()
+            if key < best_key:
+                best_score, best_key, best_combo = score, key, combo
 
-    descriptor = SubgroupDescriptor({f: vs for f, (vs, _) in zip(feats, best_desc)
-                                     if vs is not None})
-    return _result_from(dataset, descriptor, direction, time.perf_counter() - t0)
+    return _result_from(dataset, descriptor_of(best_combo), direction,
+                        time.perf_counter() - t0)

@@ -230,6 +230,29 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestBadCounts:
+
+    def test_zero_bins_on_text_only_csv(self, capsys, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("c,y\nA,1\nB,0\nA,0\n")
+        code, _ = run(capsys, ["rank", "--input", str(path), "--outcome-col", "y",
+                               "--bins", "0"])
+        assert code == 2
+
+    def test_negative_permutations_in_sweep(self, capsys, random_csv):
+        path, _ = random_csv
+        code, _ = run(capsys, ["sweep", "--input", path, "--outcome-col", "y",
+                               "--restarts", "1", "--k", "1,2", "--permutations", "-5"])
+        assert code == 2
+
+    def test_negative_threads_in_pipeline(self, capsys, random_csv):
+        path, _ = random_csv
+        code, _ = run(capsys, ["pipeline", "--input", path, "--outcome-col", "y",
+                               "--restarts", "1", "--permutations", "5",
+                               "--threads", "-3"])
+        assert code == 2
+
+
 class TestEnvVars:
 
     def test_bins_from_environment(self, capsys, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ class TestLoadCsv:
         path = write(tmp_path, "c,y\nB,1\nA,0\nB,1\n")
         ds = load_csv(path, "y")
         assert ds.schemas[0].values == ("B", "A")
+
+    def test_infinite_cells_join_the_edge_bins_without_warning(self, tmp_path):
+        path = write(tmp_path, "x,y\n1,1\n2,0\n3,1\ninf,0\ninf,1\n-inf,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path, "y")
+        codes = ds.codes[:, 0].tolist()
+        assert codes[5] == codes[0] == 0  # -inf with the smallest finite value
+        assert codes[3] == codes[4] == codes[2] == ds.schemas[0].cardinality - 1
+
+    def test_bin_count_checked_on_construction(self):
+        for bad in (0, -1):
+            with pytest.raises(DataError):
+                DiscretizationSpec(bins=bad)
 
     def test_bins_spec_respected(self, tmp_path):
         path = write(tmp_path, "x,y\n" + "".join(f"{v},0\n" for v in range(1, 11)))

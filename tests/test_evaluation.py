@@ -110,7 +110,6 @@ class TestSweepK:
         assert entries[-1].jaccard_vs_full == pytest.approx(1.0)
         for e in entries:
             assert 0.0 <= e.jaccard_vs_full <= 1.0
-            assert e.timing.phase == "scan"
             assert e.timing.method == ranking.method
             assert e.timing.k == e.k
             assert e.timing.seconds > 0
@@ -132,3 +131,5 @@ class TestSweepK:
         for bad in ([], [0, 2], [2, 5], [3, 2], [2, 2]):
             with pytest.raises(DataError):
                 sweep_k(ds, ranking, bad, config)
+        with pytest.raises(DataError):
+            sweep_k(ds, ranking, [1, 2], config, permutations=-1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safs import (
     ContingencyTable,
@@ -84,6 +86,17 @@ class TestYulesY:
             y = yules_y(ContingencyTable(int(a), int(b), int(d), int(g)))
             swapped = yules_y(ContingencyTable(int(b), int(a), int(g), int(d)))
             assert swapped == pytest.approx(-y, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_table_route_is_the_per_value_entry(self, data):
+        card = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=200))
+        y = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        ds = make_dataset([card], [[r] for r in rows], y)
+        per_value = yules_y_per_value(ds, 0)
+        for u in range(card):
+            assert yules_y(stratify(ds, 0, u)) == per_value[u]
 
     def test_vectorized_matches_scalar_route(self):
         for seed in range(10):

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from safs import (
+    OVER,
+    UNDER,
     ContingencyTable,
     DataError,
     ScanConfig,
+    ScanResult,
+    SubgroupDescriptor,
     build_report,
     empirical_p_value,
     odds_ratio_ci,
     scan,
+    score_subgroup,
 )
 from safs.report import report_text
-from synth import noise_dataset, planted_dataset
+from synth import make_dataset, noise_dataset, planted_dataset
 
 
 class TestOddsRatioCi:
@@ -94,6 +99,10 @@ class TestEmpiricalPValue:
         ds = noise_dataset(5)
         with pytest.raises(DataError):
             empirical_p_value(ds, [0], ScanConfig(), 1.0, permutations=0)
+        for threads in (0, -3):
+            with pytest.raises(DataError):
+                empirical_p_value(ds, [0], ScanConfig(), 1.0, permutations=5,
+                                  threads=threads)
 
 
 class TestBuildReport:
@@ -124,6 +133,18 @@ class TestBuildReport:
         assert report.subset_pct == 100
         assert report.odds_ratio == 1.0
         assert report.no_divergence
+
+    @pytest.mark.parametrize("size, positives, direction", [(3, 1, OVER), (5, 2, UNDER)])
+    def test_subgroup_at_the_global_rate_flagged(self, size, positives, direction):
+        # both values have the global rate; q_hat is 1 only up to an ulp
+        # (1 + 2**-52 over, 1 - 2**-53 under), which rounds the formula to ~1e-16
+        y = ([1] * positives + [0] * (size - positives)) * 2
+        ds = make_dataset([2], [[0]] * size + [[1]] * size, y)
+        descriptor = SubgroupDescriptor({0: {0}})
+        score, q_hat = score_subgroup(ds, descriptor, direction)
+        assert score == 0.0
+        result = ScanResult(descriptor, score, q_hat, np.arange(size), size, positives, 0.0)
+        assert build_report(ds, result).no_divergence
 
     def test_text_rendering(self):
         ds, _, _ = planted_dataset(3, n=1000)

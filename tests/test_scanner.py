@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from safs import (
@@ -21,7 +21,7 @@ from safs import (
     subgroup_mask,
 )
 from safs.dataset import constraints_bool_mask
-from safs.scanner import _EPS, _ScanKernel, _score_counts_vec
+from safs.scanner import _EPS, _ScanKernel, _score_counts, _score_counts_vec
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -107,6 +107,13 @@ class TestScoreSubgroup:
         # independent grid search over q
         num_score, _ = _naive_score(10, 5, 0.25, OVER)
         assert score == pytest.approx(num_score, abs=1e-6)
+
+    def test_whole_data_score_is_not_negative(self):
+        # the whole data's q_hat is 1 only up to rounding (within an ulp)
+        for seed in range(60):
+            ds = noise_dataset(seed, n=97, m=2)
+            for direction in (OVER, UNDER):
+                assert score_subgroup(ds, SubgroupDescriptor(), direction)[0] >= 0.0
 
     def test_under_observed_clamps_in_over_scan(self):
         codes = [[0]] * 10 + [[1]] * 30
@@ -388,3 +395,51 @@ class TestKernelProperties:
         feats = list(range(ds.n_features))
         got = scan(ds, feats, ScanConfig(direction=direction, restarts=3, seed=seed))
         assert got.score <= brute_force_scan(ds, feats, direction).score + 1e-9
+
+
+# global rates mu = positives / N that a dataset of N records can have
+rates = st.integers(2, 10**9).flatmap(
+    lambda total: st.integers(1, total - 1).map(lambda positives: positives / total))
+
+
+@st.composite
+def score_cases(draw):
+    """Aggregate counts, sum_y in {0, n_s} included, a rate and a direction."""
+    n_s = draw(st.integers(1, 10**9))
+    sum_y = draw(st.one_of(st.just(0), st.just(n_s), st.integers(0, n_s)))
+    return n_s, sum_y, draw(rates), draw(st.sampled_from([OVER, UNDER]))
+
+
+class TestScoreProperties:
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=score_cases(), others=st.lists(
+        st.integers(1, 10**9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        max_size=20), position=st.integers(0, 20))
+    def test_scalar_is_the_vector_entry(self, case, others, position):
+        n_s, sum_y, mu, direction = case
+        i = min(position, len(others))
+        counts = np.array(others[:i] + [(n_s, sum_y)] + others[i:], dtype=np.float64)
+        scores = _score_counts_vec(counts[:, 0], counts[:, 1], mu, direction)
+        assert _score_counts(n_s, sum_y, mu, direction)[0] == scores[i]
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=score_cases())
+    def test_score_and_q_hat_ranges(self, case):
+        n_s, sum_y, mu, direction = case
+        score, q_hat = _score_counts(n_s, sum_y, mu, direction)
+        assert score >= 0.0
+        assert q_hat >= 1.0 if direction == OVER else q_hat <= 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(n_s=st.integers(2, 10**9), mu=rates, data=st.data())
+    def test_matches_closed_form_away_from_limits(self, n_s, mu, data):
+        sum_y = data.draw(st.integers(1, n_s - 1))
+        q = (sum_y * (1.0 - mu)) / (mu * (n_s - sum_y))
+        # near q = 1 the two terms cancel to rounding noise
+        assume(abs(math.log(q)) > 1e-2)
+        direction = OVER if q > 1.0 else UNDER
+        score, q_hat = _score_counts(n_s, sum_y, mu, direction)
+        assert q_hat == q
+        expected = math.log(q) * sum_y - n_s * math.log(1.0 - mu + q * mu)
+        assert score == pytest.approx(expected, rel=1e-12)
