@@ -14,7 +14,6 @@ from .errors import DataError, SafsError, SearchSpaceError
 from .evaluation import (
     RankOverlapMatrix,
     SweepEntry,
-    TimingRecord,
     jaccard,
     overlap_matrix,
     rank_biased_overlap,
@@ -53,7 +52,7 @@ __all__ = [
     "OVER", "UNDER", "ScanConfig", "ScanResult", "SubgroupDescriptor",
     "brute_force_scan", "optimize_feature", "q_mle", "scan", "score_subgroup",
     "SubgroupReport", "build_report", "empirical_p_value", "odds_ratio_ci",
-    "RankOverlapMatrix", "SweepEntry", "TimingRecord", "jaccard",
+    "RankOverlapMatrix", "SweepEntry", "jaccard",
     "overlap_matrix", "rank_biased_overlap", "sweep_k",
     "__version__",
 ]

@@ -141,7 +141,13 @@ def _options(*opts):
     return apply
 
 
-_common_options = _options(
+_out_option = click.option("--out", default=None, type=click.Path(),
+                           help="Output path (stdout if omitted).")
+
+_format_option = click.option("--format", "fmt", default="json", show_default=True,
+                              type=click.Choice(["json", "text"]))
+
+_input_options = _options(
     click.option("--input", "input_path", required=True,
                  type=click.Path(), help="Input CSV file."),
     click.option("--outcome-col", required=True, help="Binary outcome column."),
@@ -151,11 +157,10 @@ _common_options = _options(
                  help="Label for the missing-value category."),
     click.option("--method", default="safs", show_default=True,
                  type=click.Choice(sorted(_METHODS))),
-    click.option("--out", default=None, type=click.Path(),
-                 help="Output path (stdout if omitted)."),
-    click.option("--format", "fmt", default="json", show_default=True,
-                 type=click.Choice(["json", "text"])),
+    _out_option,
 )
+
+_common_options = _options(_input_options, _format_option)
 
 _scan_options = _options(
     click.option("--restarts", default=10, show_default=True, type=int),
@@ -236,9 +241,8 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
 @click.option("--rankings", "paths", multiple=True, required=True,
               type=click.Path(), help="Ranking artifacts to compare (repeatable).")
 @click.option("-p", "--persistence", default=0.9, show_default=True, type=float)
-@click.option("--out", default=None, type=click.Path())
-@click.option("--format", "fmt", default="json", show_default=True,
-              type=click.Choice(["json", "text"]))
+@_out_option
+@_format_option
 def compare_command(paths, persistence, out, fmt):
     """Pairwise rank-biased overlap of saved rankings."""
     if len(paths) < 2:
@@ -266,13 +270,13 @@ def compare_command(paths, persistence, out, fmt):
 
 
 @cli.command("sweep")
-@_common_options
+@_input_options
 @_scan_options
 @click.option("--k", "k_spec", required=True,
               help="Comma-separated ascending K values, e.g. 5,10,15.")
 @click.option("--permutations", default=0, show_default=True, type=int,
               help="Permutation replicates per K (0 skips the p-value).")
-def sweep_command(k_spec, permutations, restarts, direction, seed, out, fmt, **load):
+def sweep_command(k_spec, permutations, restarts, direction, seed, out, **load):
     """Scan each top-K prefix and emit one JSON line per K."""
     try:
         k_values = [int(v) for v in k_spec.split(",") if v.strip()]
@@ -299,7 +303,7 @@ def sweep_command(k_spec, permutations, restarts, direction, seed, out, fmt, **l
             "p_value": report.p_value,
             "jaccard_vs_full": entry.jaccard_vs_full,
         }
-        doc = _document("sweep-entry", payload, {"scan_seconds": entry.timing.seconds})
+        doc = _document("sweep-entry", payload, {"scan_seconds": entry.result.elapsed})
         lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
     _emit("".join(lines), out)
 

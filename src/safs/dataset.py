@@ -3,6 +3,23 @@
 Records are stored as integer category codes (one column per feature) plus a
 binary outcome vector. The dataset is immutable after construction and safe to
 share across threads.
+
+Ingest cost. ``load_csv`` parses with numpy's C tokenizer (``np.loadtxt``):
+one pass reads every column into one record array, float64 for a column
+whose first cell is a number or empty and text for the others. Without a
+double quote in the file, numpy first finds the line ends and commas in its
+bytes, O(bytes), to check row lengths and to size each text column to its
+widest cell: such a column holds 4 bytes per character of that cell for
+every record. With a quote, text cells are read as Python strings and numpy
+checks the row lengths; csv.reader reads the file only to word a row-length
+error. Each text column and the outcome are encoded with one ``np.unique``,
+O(N log N); each numeric column is binned with one quantile and one
+digitize. No Python code runs per cell, unless numpy's float parser rejects
+a cell of a column whose first cell is a number or empty (an empty cell,
+``1_000``, non-ASCII digits, a text cell below a number; ``float()`` accepts
+some of these). Then one more pass reads all such columns as text, and
+``float()`` decides cell by cell which of them are numeric, at about the
+per-cell cost of a row-by-row CSV reader for those columns.
 """
 
 from __future__ import annotations
@@ -135,12 +152,18 @@ class DiscreteDataset:
         return DiscreteDataset(self.schemas, self.codes, outcome, self.outcome_name)
 
 
-def _parse_outcome(raw: str, column: str, row: int) -> int:
-    value = _OUTCOME_MAP.get(raw.strip().lower())
-    if value is None:
-        raise DataError(
-            f"outcome column {column!r} row {row}: {raw!r} is not a binary value")
-    return value
+def _encode_outcome(cells: np.ndarray, column: str) -> np.ndarray:
+    """The outcome cells as 0/1; the mapping runs once per distinct cell."""
+    distinct, inverse = np.unique(cells.astype(str, copy=False), return_inverse=True)
+    values = np.array([_OUTCOME_MAP.get(v.strip().lower(), -1) for v in distinct.tolist()],
+                      dtype=np.int8)
+    outcome = values[inverse]
+    bad = np.flatnonzero(outcome < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"outcome column {column!r} row {i + 2}: "
+                        f"{str(cells[i])!r} is not a binary value")
+    return outcome
 
 
 def _parse_numbers(cells: list[str]) -> np.ndarray | None:
@@ -179,17 +202,64 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     return labels, codes
 
 
-def _encode_text(cells: list[str], missing_label: str) -> tuple[list[str], np.ndarray]:
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    codes = np.zeros(len(cells), dtype=np.int32)
-    for i, cell in enumerate(cells):
-        label = missing_label if cell == "" else cell
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        codes[i] = index[label]
-    return labels, codes
+def _encode_text(cells: np.ndarray, missing_label: str) -> tuple[list[str], np.ndarray]:
+    """Distinct cells in first-appearance order; empty cells are the missing
+    label."""
+    cells = cells.astype(str, copy=False)
+    empty = cells == ""
+    if empty.any():
+        cells = np.where(empty, missing_label, cells)
+    labels, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    codes = np.empty_like(order)
+    codes[order] = np.arange(order.size)
+    return labels[order].tolist(), codes[inverse]
+
+
+def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
+    """Every non-blank record must have one field per header column."""
+    bad = np.flatnonzero(fields != ncols)
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}: row {i + 2} has {fields[i]} fields, expected {ncols}")
+
+
+def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> np.ndarray:
+    """Check the row lengths of CSV bytes without a quote character and
+    return each column's widest cell in bytes, which bounds its width in
+    characters. A line ends at LF, CR or CRLF, as in csv.reader."""
+    cr, lf = (np.flatnonzero(raw == ord(c)) for c in "\r\n")
+    # a CRLF ends its line at the CR, and the next line begins after the LF
+    stops = np.append(np.union1d(cr, lf[~np.isin(lf - 1, cr)]), raw.size)
+    starts = np.concatenate(([0], np.union1d(cr[~np.isin(cr + 1, lf)], lf) + 1))
+    commas = np.flatnonzero(raw == ord(","))
+    first, last = np.searchsorted(commas, starts), np.searchsorted(commas, stops)
+    filled = stops[1:] > starts[1:]  # line 0 is the header; blank lines are skipped
+    _check_fields((last - first + 1)[1:][filled], ncols, path)
+    # every data line now holds ncols - 1 commas, in file order
+    bounds = commas[last[0]:].reshape(-1, ncols - 1)
+    widths = np.empty(ncols, dtype=np.int64)
+    widths[0] = (bounds[:, 0] - starts[1:][filled]).max()
+    widths[1:-1] = (np.diff(bounds, axis=1) - 1).max(axis=0)
+    widths[-1] = (stops[1:][filled] - bounds[:, -1] - 1).max()
+    return widths
+
+
+def _check_quoted_rows(fh, start: int, ncols: int, path) -> None:
+    """The row-length check for a CSV text with quote characters, read by
+    csv.reader row by row."""
+    fh.seek(start)
+    _check_fields(np.array([len(row) for row in csv.reader(fh) if row]), ncols, path)
+
+
+def _loadtxt(fh, start: int, kinds: list[str]) -> np.ndarray:
+    """Every record after the header as one record array, field j of numpy
+    dtype kinds[j], parsed by numpy's C tokenizer: commas, double quotes, and
+    '#' an ordinary character. A record with a field too many or too few
+    raises ValueError."""
+    fh.seek(start)
+    dtype = np.dtype([(str(j), kind) for j, kind in enumerate(kinds)])
+    return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
 
 
 def load_csv(path, outcome_column: str,
@@ -197,24 +267,46 @@ def load_csv(path, outcome_column: str,
     """Load a header-bearing CSV into a DiscreteDataset.
 
     Numeric columns are quantile-binned per the discretization spec; text
-    columns keep their distinct values in first-appearance order. Missing
+    columns keep their distinct values in first-appearance order. A column is
+    numeric when Python's ``float()`` accepts every non-empty cell. Missing
     cells (empty fields, and nan in numeric columns) become a dedicated
     category. The outcome column must parse to {0, 1} ("0"/"1"/"true"/
     "false", case-insensitive). A UTF-8 byte-order mark is skipped; duplicate
-    column names are rejected.
+    column names and NUL bytes are rejected.
     """
     spec = discretization or DiscretizationSpec()
     try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\0" in data:
+            raise DataError(f"{path}: contains a NUL byte, so it is not UTF-8 CSV text")
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            # readline, not iteration, keeps fh.tell() usable
+            lines = csv.reader(iter(fh.readline, ""))
             try:
-                header = next(reader)
+                header = next(lines)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
+            start = fh.tell()
+            y_col = _check_header(header, outcome_column, path)
+            first = next(filter(None, lines), None)
+            if first is None:
+                raise DataError(f"{path}: no data rows")
+            # with no quote character the bytes give the rows and the widths
+            widths = (None if b'"' in data else
+                      _scan_unquoted(np.frombuffer(data, dtype=np.uint8), len(header), path))
+            del data
+            return _load_columns(fh, start, path, header, y_col, first, widths, spec)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
+
+def _check_header(header: list[str], outcome_column: str, path) -> int:
+    """The outcome column's index, once the header is known to be usable."""
     seen: set[str] = set()
     for name in header:
         if name in seen:
@@ -222,33 +314,47 @@ def load_csv(path, outcome_column: str,
         seen.add(name)
     if outcome_column not in header:
         raise DataError(f"outcome column {outcome_column!r} not found in header")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature columns besides the outcome")
+    return header.index(outcome_column)
 
-    y_col = header.index(outcome_column)
-    outcome = np.array([_parse_outcome(row[y_col], outcome_column, i + 2)
-                        for i, row in enumerate(rows)], dtype=np.int8)
+
+def _load_columns(fh, start: int, path, header: list[str], y_col: int, first: list[str],
+                  widths: np.ndarray | None, spec: DiscretizationSpec) -> DiscreteDataset:
+    """Parse every column in one numpy pass and encode it. A column is read
+    as float64 when its first cell is a number or empty, else as text: of its
+    widest cell's width when the widths are known, else as Python strings."""
+    text = ["O"] * len(header) if widths is None else [f"U{max(int(w), 1)}" for w in widths]
+    maybe_numeric = [j for j, cell in enumerate(first) if j != y_col
+                     and (cell == "" or _parse_numbers([cell]) is not None)]
+    kinds = [("f8" if j in maybe_numeric else kind) for j, kind in enumerate(text)]
+    try:
+        records = _loadtxt(fh, start, kinds)
+    except ValueError:
+        if widths is None:
+            _check_quoted_rows(fh, start, len(header), path)
+        # numpy's float parser takes a subset of what float() takes. Finding
+        # the rejected columns would cost a pass over the file per column, so
+        # all the candidates are read as text and float() decides per cell
+        records = _loadtxt(fh, start, text)
+    outcome = _encode_outcome(records[str(y_col)], header[y_col])
 
     schemas: list[FeatureSchema] = []
     columns: list[np.ndarray] = []
     for j, name in enumerate(header):
         if j == y_col:
             continue
-        cells = [row[j] for row in rows]
-        parsed = _parse_numbers(cells)
+        cells = records[str(j)]
+        parsed = cells if records.dtype[j] == np.float64 else None
+        if parsed is None and j in maybe_numeric:
+            parsed = _parse_numbers(cells.tolist())
         if parsed is not None:
             labels, codes = _encode_numeric(name, parsed, spec.bins, spec.missing_label)
         else:
             labels, codes = _encode_text(cells, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))
         columns.append(codes)
-
-    if not schemas:
-        raise DataError(f"{path}: no feature columns besides the outcome")
-    return DiscreteDataset(schemas, np.column_stack(columns), outcome, outcome_column)
+    return DiscreteDataset(schemas, np.column_stack(columns), outcome, header[y_col])
 
 
 def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyTable:

@@ -16,15 +16,6 @@ from .scanner import ScanConfig, ScanResult, scan
 
 
 @dataclass(frozen=True)
-class TimingRecord:
-    """Wall time of one sweep scan."""
-
-    method: str
-    k: int
-    seconds: float
-
-
-@dataclass(frozen=True)
 class RankOverlapMatrix:
     methods: tuple[str, ...]
     matrix: np.ndarray
@@ -36,7 +27,6 @@ class SweepEntry:
     k: int
     result: ScanResult
     report: SubgroupReport
-    timing: TimingRecord
     jaccard_vs_full: float
 
 
@@ -120,7 +110,6 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
             k=k,
             result=result,
             report=build_report(dataset, result, p_value),
-            timing=TimingRecord(ranking.method, k, result.elapsed),
             jaccard_vs_full=jaccard(result.matched.tolist(), full_set),
         ))
     return entries

@@ -205,6 +205,12 @@ class TestSweepCommand:
                                "--k", "2,x"])
         assert code == 1
 
+    def test_format_is_not_an_option(self, capsys, planted_csv):
+        path, _ = planted_csv
+        code, _ = run(capsys, ["sweep", "--input", path, "--outcome-col", "y",
+                               "--k", "2", "--format", "text"])
+        assert code == 1
+
 
 class TestExitCodes:
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from safs import (
     DataError,
+    DiscreteDataset,
     DiscretizationSpec,
     FeatureSchema,
     SubgroupDescriptor,
@@ -151,6 +152,9 @@ class TestIngestRules:
         ("x,c,y\n1.5,A,1\n2.5,0\n3.5,C,1\n", 3, 2),
         ("x,c,y\n1.5,A,1\n2.5,B,0\n3.5,C,1,extra\n", 4, 4),
         ("x,c,y\n1.5,A,1\n   \n3.5,C,1\n", 3, 1),
+        ('x,c,y\n1.5,"A"\n2.5,B,0\n', 2, 2),
+        ('x,c,y\n1.5,"A",1,\n2.5,B,0\n', 2, 4),
+        ('x,c,y\n1.5,"A",1\n2.5,B,0\n3.5,"C,D"\n', 4, 2),
     ])
     def test_row_length_error_names_the_row(self, tmp_path, text, row, fields):
         with pytest.raises(DataError, match=f"row {row} has {fields} fields, expected 3"):
@@ -214,6 +218,13 @@ class TestIngestRules:
     def test_whitespace_is_part_of_a_text_cell(self, tmp_path):
         ds = load_csv(write(tmp_path, "c,y\nA,1\n A,0\nA ,1\n"), "y")
         assert ds.schemas[0].values == ("A", " A", "A ")
+
+    def test_not_utf8_text_is_a_data_error(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        for data in ("c,y\nA,1\n".encode("utf-16"), b"c,y\n\xff,1\nB,0\n", b"c,y\nA\0,1\n"):
+            path.write_bytes(data)
+            with pytest.raises(DataError):
+                load_csv(path, "y")
 
     def test_bad_outcome_cell_names_its_row(self, tmp_path):
         with pytest.raises(DataError, match=r"row 3: 'maybe' is not a binary value"):
@@ -324,7 +335,7 @@ class TestIngestProperties:
         schemas = [FeatureSchema(s.name, tuple(data.draw(st.lists(
             label, min_size=s.cardinality, max_size=s.cardinality, unique=True))))
             for s in base.schemas]
-        original = type(base)(schemas, base.codes, base.outcome)
+        original = DiscreteDataset(schemas, base.codes, base.outcome)
         path = tmp_path_factory.mktemp("csv") / "round.csv"
         write_csv(path, original)
         ds = load_csv(path, "y")
