@@ -9,17 +9,20 @@ one pass reads every column into one record array, float64 for a column
 whose first cell is a number or empty and text for the others. Without a
 double quote in the file, numpy first finds the line ends and commas in its
 bytes, O(bytes), to check row lengths and to size each text column to its
-widest cell: such a column holds 4 bytes per character of that cell for
-every record. With a quote, text cells are read as Python strings and numpy
-checks the row lengths; csv.reader reads the file only to word a row-length
-error. Each text column and the outcome are encoded with one ``np.unique``,
-O(N log N); each numeric column is binned with one quantile and one
-digitize. No Python code runs per cell, unless numpy's float parser rejects
-a cell of a column whose first cell is a number or empty (an empty cell,
-``1_000``, non-ASCII digits, a text cell below a number; ``float()`` accepts
-some of these). Then one more pass reads all such columns as text, and
-``float()`` decides cell by cell which of them are numeric, at about the
-per-cell cost of a row-by-row CSV reader for those columns.
+widest cell: fixed-width str, 4 bytes per character of that cell for every
+record. A column whose widest cell is longer than the file's mean line, and
+every text column of a file with a quote, is read as Python strings instead,
+and made fixed-width before encoding if its widest string fits that bound.
+With a quote, numpy checks the row lengths, and csv.reader reads the file
+only to word a row-length error. Each text column and the outcome are
+encoded with one ``np.unique``, O(N log N); each numeric column is binned
+with one quantile and one digitize. No Python code runs per cell, unless
+numpy's float parser rejects a cell of a column whose first cell is a number
+or empty (an empty cell, ``1_000``, non-ASCII digits, a text cell below a
+number; ``float()`` accepts some of these). Then one more pass reads all
+such columns as text, and ``float()`` decides cell by cell which of them are
+numeric, at about the per-cell cost of a row-by-row CSV reader for those
+columns.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ class DiscreteDataset:
 
 def _encode_outcome(cells: np.ndarray, column: str) -> np.ndarray:
     """The outcome cells as 0/1; the mapping runs once per distinct cell."""
-    distinct, inverse = np.unique(cells.astype(str, copy=False), return_inverse=True)
+    distinct, inverse = np.unique(cells, return_inverse=True)
     values = np.array([_OUTCOME_MAP.get(v.strip().lower(), -1) for v in distinct.tolist()],
                       dtype=np.int8)
     outcome = values[inverse]
@@ -205,7 +208,6 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
 def _encode_text(cells: np.ndarray, missing_label: str) -> tuple[list[str], np.ndarray]:
     """Distinct cells in first-appearance order; empty cells are the missing
     label."""
-    cells = cells.astype(str, copy=False)
     empty = cells == ""
     if empty.any():
         cells = np.where(empty, missing_label, cells)
@@ -224,10 +226,19 @@ def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
         raise DataError(f"{path}: row {i + 2} has {fields[i]} fields, expected {ncols}")
 
 
-def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> np.ndarray:
+def _text_kind(width: int, limit: float) -> str:
+    """The numpy dtype for a text column whose widest cell has ``width``
+    characters: fixed-width str, which np.unique sorts about 3x faster than
+    Python strings, unless that cell is longer than ``limit``, the file's
+    mean line length, so that the array takes at most 4 bytes per file byte."""
+    return f"U{max(width, 1)}" if width <= limit else "O"
+
+
+def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> list[str]:
     """Check the row lengths of CSV bytes without a quote character and
-    return each column's widest cell in bytes, which bounds its width in
-    characters. A line ends at LF, CR or CRLF, as in csv.reader."""
+    return each column's text dtype, sized by its widest cell in bytes (which
+    bounds its width in characters). A line ends at LF, CR or CRLF, as in
+    csv.reader."""
     cr, lf = (np.flatnonzero(raw == ord(c)) for c in "\r\n")
     # a CRLF ends its line at the CR, and the next line begins after the LF
     stops = np.append(np.union1d(cr, lf[~np.isin(lf - 1, cr)]), raw.size)
@@ -242,7 +253,7 @@ def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> np.ndarray:
     widths[0] = (bounds[:, 0] - starts[1:][filled]).max()
     widths[1:-1] = (np.diff(bounds, axis=1) - 1).max(axis=0)
     widths[-1] = (stops[1:][filled] - bounds[:, -1] - 1).max()
-    return widths
+    return [_text_kind(int(w), raw.size / len(bounds)) for w in widths]
 
 
 def _check_quoted_rows(fh, start: int, ncols: int, path) -> None:
@@ -293,10 +304,11 @@ def load_csv(path, outcome_column: str,
             if first is None:
                 raise DataError(f"{path}: no data rows")
             # with no quote character the bytes give the rows and the widths
-            widths = (None if b'"' in data else
-                      _scan_unquoted(np.frombuffer(data, dtype=np.uint8), len(header), path))
+            text = (None if b'"' in data else
+                    _scan_unquoted(np.frombuffer(data, dtype=np.uint8), len(header), path))
+            size = len(data)
             del data
-            return _load_columns(fh, start, path, header, y_col, first, widths, spec)
+            return _load_columns(fh, start, path, size, header, y_col, first, text, spec)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -319,39 +331,49 @@ def _check_header(header: list[str], outcome_column: str, path) -> int:
     return header.index(outcome_column)
 
 
-def _load_columns(fh, start: int, path, header: list[str], y_col: int, first: list[str],
-                  widths: np.ndarray | None, spec: DiscretizationSpec) -> DiscreteDataset:
+def _load_columns(fh, start: int, path, size: int, header: list[str], y_col: int,
+                  first: list[str], text: list[str] | None,
+                  spec: DiscretizationSpec) -> DiscreteDataset:
     """Parse every column in one numpy pass and encode it. A column is read
-    as float64 when its first cell is a number or empty, else as text: of its
-    widest cell's width when the widths are known, else as Python strings."""
-    text = ["O"] * len(header) if widths is None else [f"U{max(int(w), 1)}" for w in widths]
+    as float64 when its first cell is a number or empty, else as text: of the
+    given dtypes, or as Python strings when the row lengths are unchecked."""
+    rows_checked = text is not None
+    text = text or ["O"] * len(header)
     maybe_numeric = [j for j, cell in enumerate(first) if j != y_col
                      and (cell == "" or _parse_numbers([cell]) is not None)]
     kinds = [("f8" if j in maybe_numeric else kind) for j, kind in enumerate(text)]
     try:
         records = _loadtxt(fh, start, kinds)
     except ValueError:
-        if widths is None:
+        if not rows_checked:
             _check_quoted_rows(fh, start, len(header), path)
         # numpy's float parser takes a subset of what float() takes. Finding
         # the rejected columns would cost a pass over the file per column, so
         # all the candidates are read as text and float() decides per cell
         records = _loadtxt(fh, start, text)
-    outcome = _encode_outcome(records[str(y_col)], header[y_col])
+
+    def cells(j: int) -> np.ndarray:
+        column = records[str(j)]
+        if column.dtype == object:
+            column = column.astype(_text_kind(max(map(len, column)), size / len(records)),
+                                   copy=False)
+        return column
+
+    outcome = _encode_outcome(cells(y_col), header[y_col])
 
     schemas: list[FeatureSchema] = []
     columns: list[np.ndarray] = []
     for j, name in enumerate(header):
         if j == y_col:
             continue
-        cells = records[str(j)]
-        parsed = cells if records.dtype[j] == np.float64 else None
+        column = cells(j)
+        parsed = column if column.dtype == np.float64 else None
         if parsed is None and j in maybe_numeric:
-            parsed = _parse_numbers(cells.tolist())
+            parsed = _parse_numbers(column.tolist())
         if parsed is not None:
             labels, codes = _encode_numeric(name, parsed, spec.bins, spec.missing_label)
         else:
-            labels, codes = _encode_text(cells, spec.missing_label)
+            labels, codes = _encode_text(column, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))
         columns.append(codes)
     return DiscreteDataset(schemas, np.column_stack(columns), outcome, header[y_col])

@@ -1,5 +1,6 @@
 import csv
 import string
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,6 +226,22 @@ class TestIngestRules:
             path.write_bytes(data)
             with pytest.raises(DataError):
                 load_csv(path, "y")
+
+    @pytest.mark.parametrize("long_cell", ["x" * 5000, '"x,' + "x" * 5000 + '"'])
+    def test_one_long_cell_does_not_widen_its_column(self, tmp_path, long_cell):
+        # a fixed-width column would hold 4 bytes x 5000 characters per row
+        rows = [f"n{i % 7},c{i % 3},{i % 2}" for i in range(2000)]
+        rows[1000] = f"{long_cell},c0,1"
+        path = write(tmp_path, "note,c,y\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+        assert ds.decode(0, ds.codes[1000, 0]) == long_cell.strip('"')
+        assert ds.schemas[0].cardinality == 8
 
     def test_bad_outcome_cell_names_its_row(self, tmp_path):
         with pytest.raises(DataError, match=r"row 3: 'maybe' is not a binary value"):
