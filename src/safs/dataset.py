@@ -4,25 +4,15 @@ Records are stored as integer category codes (one column per feature) plus a
 binary outcome vector. The dataset is immutable after construction and safe to
 share across threads.
 
-Ingest cost. ``load_csv`` parses with numpy's C tokenizer (``np.loadtxt``):
-one pass reads every column into one record array, float64 for a column
-whose first cell is a number or empty and text for the others. Without a
-double quote in the file, numpy first finds the line ends and commas in its
-bytes, O(bytes), to check row lengths and to size each text column to its
-widest cell: fixed-width str, 4 bytes per character of that cell for every
-record. A column whose widest cell is longer than the file's mean line, and
-every text column of a file with a quote, is read as Python strings instead,
-and made fixed-width before encoding if its widest string fits that bound.
-With a quote, numpy checks the row lengths, and csv.reader reads the file
-only to word a row-length error. Each text column and the outcome are
-encoded with one ``np.unique``, O(N log N); each numeric column is binned
-with one quantile and one digitize. No Python code runs per cell, unless
-numpy's float parser rejects a cell of a column whose first cell is a number
-or empty (an empty cell, ``1_000``, non-ASCII digits, a text cell below a
-number; ``float()`` accepts some of these). Then one more pass reads all
-such columns as text, and ``float()`` decides cell by cell which of them are
-numeric, at about the per-cell cost of a row-by-row CSV reader for those
-columns.
+Ingest cost. ``load_csv`` reads the file's bytes once; without a double quote,
+numpy finds their line ends and commas, O(bytes), to check the row lengths and
+to size each text column to its widest cell. One ``np.loadtxt`` pass of numpy's
+C tokenizer then parses every column: float64 where the first cell is a number
+or empty, text otherwise. Each text column and the outcome are encoded with one
+``np.unique``, O(N log N); each numeric column is binned with one quantile and
+one digitize. ``float()`` runs per cell only as the fallback, for columns in
+which numpy's float parser rejects a cell (an empty cell, ``1_000``, non-ASCII
+digits, a text cell below a number).
 """
 
 from __future__ import annotations
@@ -256,13 +246,6 @@ def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> list[str]:
     return [_text_kind(int(w), raw.size / len(bounds)) for w in widths]
 
 
-def _check_quoted_rows(fh, start: int, ncols: int, path) -> None:
-    """The row-length check for a CSV text with quote characters, read by
-    csv.reader row by row."""
-    fh.seek(start)
-    _check_fields(np.array([len(row) for row in csv.reader(fh) if row]), ncols, path)
-
-
 def _loadtxt(fh, start: int, kinds: list[str]) -> np.ndarray:
     """Every record after the header as one record array, field j of numpy
     dtype kinds[j], parsed by numpy's C tokenizer: commas, double quotes, and
@@ -306,9 +289,8 @@ def load_csv(path, outcome_column: str,
             # with no quote character the bytes give the rows and the widths
             text = (None if b'"' in data else
                     _scan_unquoted(np.frombuffer(data, dtype=np.uint8), len(header), path))
-            size = len(data)
             del data
-            return _load_columns(fh, start, path, size, header, y_col, first, text, spec)
+            return _load_columns(fh, start, path, header, y_col, first, text, spec)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -331,13 +313,12 @@ def _check_header(header: list[str], outcome_column: str, path) -> int:
     return header.index(outcome_column)
 
 
-def _load_columns(fh, start: int, path, size: int, header: list[str], y_col: int,
+def _load_columns(fh, start: int, path, header: list[str], y_col: int,
                   first: list[str], text: list[str] | None,
                   spec: DiscretizationSpec) -> DiscreteDataset:
     """Parse every column in one numpy pass and encode it. A column is read
     as float64 when its first cell is a number or empty, else as text: of the
     given dtypes, or as Python strings when the row lengths are unchecked."""
-    rows_checked = text is not None
     text = text or ["O"] * len(header)
     maybe_numeric = [j for j, cell in enumerate(first) if j != y_col
                      and (cell == "" or _parse_numbers([cell]) is not None)]
@@ -345,28 +326,26 @@ def _load_columns(fh, start: int, path, size: int, header: list[str], y_col: int
     try:
         records = _loadtxt(fh, start, kinds)
     except ValueError:
-        if not rows_checked:
-            _check_quoted_rows(fh, start, len(header), path)
         # numpy's float parser takes a subset of what float() takes. Finding
         # the rejected columns would cost a pass over the file per column, so
         # all the candidates are read as text and float() decides per cell
-        records = _loadtxt(fh, start, text)
+        try:
+            records = _loadtxt(fh, start, text)
+        except ValueError as exc:
+            # a row of the wrong length; csv.reader finds it to name it
+            fh.seek(start)
+            fields = np.array([len(row) for row in csv.reader(fh) if row])
+            _check_fields(fields, len(header), path)
+            raise DataError(f"{path}: {exc}") from exc
 
-    def cells(j: int) -> np.ndarray:
-        column = records[str(j)]
-        if column.dtype == object:
-            column = column.astype(_text_kind(max(map(len, column)), size / len(records)),
-                                   copy=False)
-        return column
-
-    outcome = _encode_outcome(cells(y_col), header[y_col])
+    outcome = _encode_outcome(records[str(y_col)], header[y_col])
 
     schemas: list[FeatureSchema] = []
     columns: list[np.ndarray] = []
     for j, name in enumerate(header):
         if j == y_col:
             continue
-        column = cells(j)
+        column = records[str(j)]
         parsed = column if column.dtype == np.float64 else None
         if parsed is None and j in maybe_numeric:
             parsed = _parse_numbers(column.tolist())

@@ -156,6 +156,7 @@ class TestIngestRules:
         ('x,c,y\n1.5,"A"\n2.5,B,0\n', 2, 2),
         ('x,c,y\n1.5,"A",1,\n2.5,B,0\n', 2, 4),
         ('x,c,y\n1.5,"A",1\n2.5,B,0\n3.5,"C,D"\n', 4, 2),
+        ('x,c,y\n1.5,"A",1\n,B,0\n3.5,C\n', 4, 2),
     ])
     def test_row_length_error_names_the_row(self, tmp_path, text, row, fields):
         with pytest.raises(DataError, match=f"row {row} has {fields} fields, expected 3"):
