@@ -213,7 +213,9 @@ def scan_command(top_k, out, fmt, **kw):
 @_scan_options
 @_top_k_option
 @click.option("--permutations", default=100, show_default=True, type=int)
-@click.option("--threads", default=1, show_default=True, type=int)
+@click.option("--threads", default=1, show_default=True, type=int,
+              help="Accepted for compatibility; no effect (replicates run "
+                   "serially in this process).")
 def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     """Full run: rank, scan, permutation test, subgroup report."""
     run = _scan_run(top_k, **kw)

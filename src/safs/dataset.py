@@ -139,11 +139,6 @@ class DiscreteDataset:
         """Category label for a (feature, code) pair."""
         return self.schemas[feature].values[code]
 
-    def with_outcome(self, outcome: np.ndarray) -> "DiscreteDataset":
-        """Same records with a replacement outcome vector (used by
-        permutation testing)."""
-        return DiscreteDataset(self.schemas, self.codes, outcome, self.outcome_name)
-
 
 def _encode_outcome(cells: np.ndarray, column: str) -> np.ndarray:
     """The outcome cells as 0/1; the mapping runs once per distinct cell."""

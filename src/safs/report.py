@@ -4,7 +4,6 @@ permutation p-value, and subgroup summary reports."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .dataset import ContingencyTable, DiscreteDataset
 from .errors import DataError
-from .scanner import ScanConfig, ScanResult, SubgroupDescriptor, scan
+from .scanner import ScanConfig, ScanResult, SubgroupDescriptor, _relabelled_scores
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -62,23 +61,20 @@ def empirical_p_value(dataset: DiscreteDataset, features: Sequence[int],
     Each replicate permutes the outcome labels (seeded independently of the
     scan's restart stream) and reruns the scan with the identical config;
     p = (1 + #{score >= observed}) / (permutations + 1).
+
+    Replicates run serially in the calling process. ``threads`` (>= 1) is
+    accepted for compatibility and has no effect; the thread pool it used
+    to size ran replicates slower than serial (numbers in the README).
     """
     if permutations < 1:
         raise DataError("permutations must be >= 1")
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
+    if math.isnan(observed_score):
+        raise DataError("observed score is nan")
     seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)
-
-    def replicate(seed) -> float:
-        rng = np.random.default_rng(seed)
-        shuffled = dataset.outcome[rng.permutation(dataset.n_records)]
-        return scan(dataset.with_outcome(shuffled), features, config).score
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(replicate, seeds))
-    else:
-        scores = [replicate(s) for s in seeds]
+    orders = (np.random.default_rng(s).permutation(dataset.n_records) for s in seeds)
+    scores = _relabelled_scores(dataset, features, config, orders)
     exceed = sum(1 for s in scores if s >= observed_score)
     return (1 + exceed) / (permutations + 1)
 

@@ -252,23 +252,21 @@ class _ScanKernel:
             del self.constraints[feature]
         others = self.count == 0
         codes = self.cols[feature][others]
-        y = self.y[others]
         c = self.cards[feature]
         counts = np.bincount(codes, minlength=c).astype(np.float64)
-        sums = np.bincount(codes, weights=y, minlength=c)
-        supported = np.flatnonzero(counts > 0)
+        sums = np.bincount(codes, weights=self.y[others], minlength=c)
+        supported = counts.nonzero()[0]
         if not supported.size:
             raise DataError("no records match the remaining constraints")
         rates = sums[supported] / counts[supported]
         sign = -1.0 if self.direction == OVER else 1.0
         order = supported[np.lexsort((supported, sign * rates))]
-        n_s = np.cumsum(counts[order])
-        sum_y = np.cumsum(sums[order])
-        scores = _score_counts_vec(n_s, sum_y, self.mu, self.direction)
+        scores = _score_counts_vec(counts[order].cumsum(), sums[order].cumsum(),
+                                   self.mu, self.direction)
         best = int(scores.argmax())  # ties -> shortest prefix
         if scores[-1] >= scores[best] - _EPS:
             return None, float(scores[-1])  # all supported values: vacuous
-        values = frozenset(int(v) for v in order[: best + 1])
+        values = frozenset(order[: best + 1].tolist())
         self._constrain(feature, values)
         return values, float(scores[best])
 
@@ -291,12 +289,12 @@ def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     return kernel.step(feats[0])[0]
 
 
-def _random_descriptor(dataset: DiscreteDataset, features: Sequence[int],
+def _random_descriptor(cards: Mapping[int, int], features: Sequence[int],
                        rng: np.random.Generator) -> SubgroupDescriptor:
     """Uniformly random non-empty value subset per feature, normalized."""
     constraints = {}
     for f in features:
-        c = dataset.schemas[f].cardinality
+        c = cards[f]
         while True:
             picks = np.flatnonzero(rng.random(c) < 0.5)
             if picks.size:
@@ -339,6 +337,30 @@ def _validate_features(dataset: DiscreteDataset, features: Sequence[int]) -> lis
     return feats
 
 
+def _best_of_restarts(kernel: _ScanKernel, features: Sequence[int],
+                      config: ScanConfig) -> tuple[float, SubgroupDescriptor]:
+    """Best (score, descriptor) over the config's restarts on a built kernel;
+    the score is the carried one, equal to the descriptor's rescoring."""
+    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    best: tuple[float, tuple, SubgroupDescriptor] | None = None
+    for r, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        score = None
+        if r > 0:
+            for _ in range(100):
+                score = kernel.load(_random_descriptor(kernel.cards, features, rng))
+                if score is not None:
+                    break
+        if score is None:
+            score = kernel.load(SubgroupDescriptor())
+        descriptor, score = _ascend(kernel, score, features, config.max_passes, rng)
+        key = descriptor.sort_key()
+        if best is None or score > best[0] + _EPS or \
+                (score > best[0] - _EPS and key < best[1]):
+            best = (score, key, descriptor)
+    return best[0], best[2]
+
+
 def scan(dataset: DiscreteDataset, features: Sequence[int],
          config: ScanConfig = ScanConfig()) -> ScanResult:
     """Best divergent subgroup over the given features.
@@ -351,25 +373,23 @@ def scan(dataset: DiscreteDataset, features: Sequence[int],
     feats = _validate_features(dataset, features)
     t0 = time.perf_counter()
     kernel = _ScanKernel(dataset, feats, config.direction)
-    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best: tuple[float, tuple, SubgroupDescriptor] | None = None
-    for r in range(config.restarts):
-        rng = np.random.default_rng(children[r])
-        score = None
-        if r > 0:
-            for _ in range(100):
-                score = kernel.load(_random_descriptor(dataset, feats, rng))
-                if score is not None:
-                    break
-        if score is None:
-            score = kernel.load(SubgroupDescriptor())
-        descriptor, score = _ascend(kernel, score, feats, config.max_passes, rng)
-        key = descriptor.sort_key()
-        if best is None or score > best[0] + _EPS or \
-                (score > best[0] - _EPS and key < best[1]):
-            best = (score, key, descriptor)
-    return _result_from(dataset, best[2], config.direction,
+    descriptor = _best_of_restarts(kernel, feats, config)[1]
+    return _result_from(dataset, descriptor, config.direction,
                         time.perf_counter() - t0)
+
+
+def _relabelled_scores(dataset: DiscreteDataset, features: Sequence[int],
+                       config: ScanConfig, orders: Iterable[np.ndarray]) -> list[float]:
+    """``scan(...).score`` with the outcome relabelled ``outcome[order]``, per
+    order, on one kernel: a permutation keeps the positives, so ``mu`` holds."""
+    feats = _validate_features(dataset, features)
+    kernel = _ScanKernel(dataset, feats, config.direction)
+    y = kernel.y
+    scores = []
+    for order in orders:
+        kernel.y = y[order]
+        scores.append(_best_of_restarts(kernel, feats, config)[0])
+    return scores
 
 
 def _bits_from_bool(mask: np.ndarray) -> int:

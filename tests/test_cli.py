@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from safs.cli import main
+import safs
+from safs.cli import canonical_json, main
 from synth import noise_dataset, planted_dataset, random_dataset, write_csv
 
 
@@ -149,6 +154,35 @@ class TestPipelineCommand:
             assert p > 0
             significant += p <= 0.05
         assert significant <= 5  # at most 10% false alarms at the 5% level
+
+    def test_payload_is_deterministic_across_processes_and_threads(
+            self, tmp_path, capsys):
+        ds = random_dataset(7, n=300, n_features=5)
+        path = tmp_path / "random.csv"
+        write_csv(path, ds)
+        argv = ["pipeline", "--input", str(path), "--outcome-col", "y",
+                "--restarts", "3", "--permutations", "9"]
+
+        def payload_block(out):
+            return canonical_json(json.loads(out)["payload"])
+
+        blocks = []
+        for _ in range(2):
+            code, out = run(capsys, argv)
+            assert code == 0
+            blocks.append(payload_block(out))
+        env = dict(os.environ)
+        src = str(Path(safs.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for _ in range(2):
+            done = subprocess.run([sys.executable, "-m", "safs.cli", *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            blocks.append(payload_block(done.stdout))
+        for threads in ("1", "4"):
+            code, out = run(capsys, argv + ["--threads", threads])
+            assert code == 0
+            blocks.append(payload_block(out))
+        assert all(block == blocks[0] for block in blocks)
 
 
 class TestCompareCommand:

@@ -95,6 +95,12 @@ class TestEmpiricalPValue:
                                 threads=4)
         assert seq == par
 
+    def test_nan_observed_score_raises(self):
+        # no replicate score is >= nan, which would give the 1/(R+1) floor
+        with pytest.raises(DataError):
+            empirical_p_value(noise_dataset(0), [0, 1, 2], ScanConfig(restarts=1),
+                              float("nan"), permutations=19)
+
     def test_invalid(self):
         ds = noise_dataset(5)
         with pytest.raises(DataError):

@@ -10,10 +10,12 @@ from safs import (
     OVER,
     UNDER,
     DataError,
+    DiscreteDataset,
     ScanConfig,
     SearchSpaceError,
     SubgroupDescriptor,
     brute_force_scan,
+    empirical_p_value,
     optimize_feature,
     q_mle,
     scan,
@@ -21,7 +23,9 @@ from safs import (
     subgroup_mask,
 )
 from safs.dataset import constraints_bool_mask
-from safs.scanner import _EPS, _ScanKernel, _score_counts, _score_counts_vec
+from safs.report import _PERMUTE_KEY
+from safs.scanner import (_EPS, _relabelled_scores, _ScanKernel, _score_counts,
+                           _score_counts_vec)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -395,6 +399,40 @@ class TestKernelProperties:
         feats = list(range(ds.n_features))
         got = scan(ds, feats, ScanConfig(direction=direction, restarts=3, seed=seed))
         assert got.score <= brute_force_scan(ds, feats, direction).score + 1e-9
+
+
+@st.composite
+def synth_cases(draw):
+    """A small tests/synth.py dataset, a direction and a restart count."""
+    seed = draw(st.integers(0, 2**16))
+    make = draw(st.sampled_from([
+        lambda: planted_dataset(seed, n=300, n_noise=3)[0],
+        lambda: random_dataset(seed, n=150),
+        lambda: noise_dataset(seed, n=90),
+    ]))
+    direction = draw(st.sampled_from([OVER, UNDER]))
+    restarts = draw(st.sampled_from([1, 5]))
+    return make(), ScanConfig(direction=direction, restarts=restarts, seed=seed)
+
+
+class TestRelabelledScores:
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=synth_cases(), permutations=st.integers(1, 6))
+    def test_shared_kernel_matches_a_fresh_scan_per_replicate(self, case, permutations):
+        ds, config = case
+        feats = list(range(ds.n_features))
+        seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)
+        orders = [np.random.default_rng(s).permutation(ds.n_records) for s in seeds]
+        # reference: the scan of a dataset built with each permuted outcome
+        expected = [scan(DiscreteDataset(ds.schemas, ds.codes, ds.outcome[order],
+                                         ds.outcome_name), feats, config).score
+                    for order in orders]
+        assert _relabelled_scores(ds, feats, config, orders) == expected
+        observed = scan(ds, feats, config).score
+        exceed = sum(1 for s in expected if s >= observed)
+        assert empirical_p_value(ds, feats, config, observed, permutations) == \
+            (1 + exceed) / (permutations + 1)
 
 
 # global rates mu = positives / N that a dataset of N records can have
