@@ -44,7 +44,10 @@ def _document(kind: str, payload: dict, volatile: dict) -> dict:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {out}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 
@@ -125,12 +128,15 @@ def _ranking_text(payload: dict) -> str:
 def _load_ranking_file(path: str) -> tuple[str, list[str]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read ranking file {path}: {exc}") from exc
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "ranking":
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA or doc.get("kind") != "ranking":
         raise DataError(f"{path} is not a {SCHEMA} ranking artifact")
-    entries = doc["payload"]["entries"]
-    return doc["payload"]["method"], [e["feature"] for e in entries]
+    try:
+        payload = doc["payload"]
+        return payload["method"], [e["feature"] for e in payload["entries"]]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path} lacks payload.method or payload.entries[*].feature") from exc
 
 
 def _options(*opts):

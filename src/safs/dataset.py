@@ -69,6 +69,13 @@ class ContingencyTable:
         return self.alpha + self.beta + self.delta + self.gamma
 
 
+def table_cells(n, positives, n_s, sum_y):
+    """(alpha, beta, delta, gamma) of a stratum of ``n_s`` records with
+    ``sum_y`` positives, among ``n`` records with ``positives`` in all.
+    Elementwise on numpy arrays as well as on ints."""
+    return sum_y, n_s - sum_y, positives - sum_y, n - n_s - positives + sum_y
+
+
 @dataclass(frozen=True)
 class DiscretizationSpec:
     """How numeric columns are binned during ingestion.
@@ -362,11 +369,8 @@ def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyT
                         f"{dataset.schemas[feature].name!r}")
     in_stratum = dataset.codes[:, feature] == value
     y = dataset.outcome.astype(np.int64)
-    alpha = int(y[in_stratum].sum())
-    beta = int(in_stratum.sum()) - alpha
-    delta = int(y.sum()) - alpha
-    gamma = dataset.n_records - alpha - beta - delta
-    return ContingencyTable(alpha, beta, delta, gamma)
+    return ContingencyTable(*table_cells(dataset.n_records, int(y.sum()),
+                                         int(in_stratum.sum()), int(y[in_stratum].sum())))
 
 
 def _validate_constraints(constraints: Mapping[int, Iterable[int]],

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ContingencyTable, DiscreteDataset
+from .dataset import ContingencyTable, DiscreteDataset, table_cells
 from .errors import DataError
 
 METHOD_SAFS = "safs"
@@ -67,19 +67,6 @@ def gini_index(values) -> float:
     return max(0.0, float(1.0 - 2.0 * np.dot(ranked / total, weights)))
 
 
-def _per_value_tables(dataset: DiscreteDataset, feature: int):
-    """Vectorized (alpha, beta, delta, gamma) arrays, one row per value."""
-    codes = dataset.codes[:, feature]
-    c = dataset.schemas[feature].cardinality
-    joint = np.bincount(codes * 2 + dataset.outcome, minlength=2 * c).reshape(c, 2)
-    alpha = joint[:, 1].astype(np.float64)
-    beta = joint[:, 0].astype(np.float64)
-    total_pos = int(dataset.outcome.sum())
-    delta = total_pos - alpha
-    gamma = dataset.n_records - total_pos - beta
-    return alpha, beta, delta, gamma
-
-
 def _yules_y_cells(cells: np.ndarray) -> np.ndarray:
     """Yule's Y per column of a (4, C) array of (alpha, beta, delta, gamma)
     counts, with the zero-cell correction of :func:`yules_y`."""
@@ -92,7 +79,12 @@ def _yules_y_cells(cells: np.ndarray) -> np.ndarray:
 def yules_y_per_value(dataset: DiscreteDataset, feature: int) -> np.ndarray:
     """Yule's Y for every value of one feature (the table of
     ``stratify(dataset, feature, value)``)."""
-    return _yules_y_cells(np.stack(_per_value_tables(dataset, feature)))
+    codes = dataset.codes[:, feature]
+    c = dataset.schemas[feature].cardinality
+    joint = np.bincount(codes * 2 + dataset.outcome, minlength=2 * c).reshape(c, 2)
+    cells = table_cells(dataset.n_records, int(dataset.outcome.sum()),
+                        joint.sum(axis=1), joint[:, 1])
+    return _yules_y_cells(np.array(cells, dtype=np.float64))
 
 
 def _ordered_entries(method: str, scores: np.ndarray) -> FeatureRanking:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ContingencyTable, DiscreteDataset
+from .dataset import ContingencyTable, DiscreteDataset, table_cells
 from .errors import DataError
 from .scanner import ScanConfig, ScanResult, SubgroupDescriptor, _relabelled_scores
 
@@ -85,15 +85,12 @@ def build_report(dataset: DiscreteDataset, scan_result: ScanResult,
     percentage, odds ratio with CI, p-value, score, elapsed time)."""
     n = dataset.n_records
     n_s = scan_result.subset_size
-    alpha = scan_result.subset_outcome_sum
-    beta = n_s - alpha
-    delta = int(dataset.outcome.sum()) - alpha
-    gamma = n - n_s - delta
     if n_s == n:
         # whole-data subgroup: no complement to compare against
         ratio, lo, hi = 1.0, 1.0, 1.0
     else:
-        ratio, lo, hi = odds_ratio_ci(ContingencyTable(alpha, beta, delta, gamma))
+        ratio, lo, hi = odds_ratio_ci(ContingencyTable(*table_cells(
+            n, int(dataset.outcome.sum()), n_s, scan_result.subset_outcome_sum)))
     descriptor = scan_result.descriptor
     return SubgroupReport(
         descriptor=descriptor,

@@ -28,11 +28,12 @@ from .errors import DataError, SearchSpaceError
 OVER = "over"
 UNDER = "under"
 
-_EPS = 1e-12
 # bound on the score formula's rounding noise near q_hat = 1, per record
 # (counts at exactly the global rate stay under one ulp)
 _NOISE_PER_RECORD = 4 * sys.float_info.epsilon
 _BRUTE_FORCE_GUARD = 10_000_000
+# cap on coordinate-ascent passes per restart
+_MAX_PASSES = 50
 
 
 def _check_direction(direction: str) -> None:
@@ -74,9 +75,7 @@ class SubgroupDescriptor:
     def sort_key(self) -> tuple:
         """Tie-break key: fewer constrained features, fewer total values,
         then lexicographic."""
-        return (len(self.constraints),
-                sum(len(vs) for vs in self.constraints.values()),
-                self.canonical())
+        return self.n_features, self.n_values, self.canonical()
 
     @property
     def n_features(self) -> int:
@@ -104,15 +103,12 @@ class SubgroupDescriptor:
 class ScanConfig:
     direction: str = OVER
     restarts: int = 10
-    max_passes: int = 50
     seed: int = 0
 
     def __post_init__(self):
         _check_direction(self.direction)
         if self.restarts < 1:
             raise DataError("restarts must be >= 1")
-        if self.max_passes < 1:
-            raise DataError("max_passes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -264,7 +260,7 @@ class _ScanKernel:
         scores = _score_counts_vec(counts[order].cumsum(), sums[order].cumsum(),
                                    self.mu, self.direction)
         best = int(scores.argmax())  # ties -> shortest prefix
-        if scores[-1] >= scores[best] - _EPS:
+        if scores[-1] >= scores[best]:
             return None, float(scores[-1])  # all supported values: vacuous
         values = frozenset(order[: best + 1].tolist())
         self._constrain(feature, values)
@@ -314,13 +310,14 @@ def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
 
 
 def _ascend(kernel: _ScanKernel, score: float, features: Sequence[int],
-            max_passes: int, rng: np.random.Generator) -> tuple[SubgroupDescriptor, float]:
-    """Coordinate ascent from the kernel's current subgroup to a local maximum."""
-    for _ in range(max_passes):
+            rng: np.random.Generator) -> tuple[SubgroupDescriptor, float]:
+    """Coordinate ascent from the kernel's current subgroup to a local
+    maximum: it stops after a pass that does not strictly raise the score."""
+    for _ in range(_MAX_PASSES):
         start = score
         for f in rng.permutation(np.asarray(features)):
             _, score = kernel.step(int(f))
-        if score <= start + _EPS:
+        if score <= start:
             break
     return SubgroupDescriptor(kernel.constraints), score
 
@@ -340,9 +337,10 @@ def _validate_features(dataset: DiscreteDataset, features: Sequence[int]) -> lis
 def _best_of_restarts(kernel: _ScanKernel, features: Sequence[int],
                       config: ScanConfig) -> tuple[float, SubgroupDescriptor]:
     """Best (score, descriptor) over the config's restarts on a built kernel;
-    the score is the carried one, equal to the descriptor's rescoring."""
+    the score is the carried one, equal to the descriptor's rescoring. Ties
+    go to the smaller :meth:`SubgroupDescriptor.sort_key`."""
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best: tuple[float, tuple, SubgroupDescriptor] | None = None
+    found = []
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         score = None
@@ -353,12 +351,9 @@ def _best_of_restarts(kernel: _ScanKernel, features: Sequence[int],
                     break
         if score is None:
             score = kernel.load(SubgroupDescriptor())
-        descriptor, score = _ascend(kernel, score, features, config.max_passes, rng)
-        key = descriptor.sort_key()
-        if best is None or score > best[0] + _EPS or \
-                (score > best[0] - _EPS and key < best[1]):
-            best = (score, key, descriptor)
-    return best[0], best[2]
+        found.append(_ascend(kernel, score, features, rng))
+    descriptor, score = min(found, key=lambda d: (-d[1], d[0].sort_key()))
+    return score, descriptor
 
 
 def scan(dataset: DiscreteDataset, features: Sequence[int],
@@ -446,9 +441,9 @@ def brute_force_scan(dataset: DiscreteDataset, features: Sequence[int],
         if n_s == 0:
             continue
         score, _ = _score_counts(n_s, (mask & y_bits).bit_count(), mu, direction)
-        if score > best_score + _EPS:
+        if score > best_score:
             best_score, best_key, best_combo = score, None, combo
-        elif score > best_score - _EPS:
+        elif score == best_score:
             if best_key is None:
                 best_key = descriptor_of(best_combo).sort_key()
             key = descriptor_of(combo).sort_key()

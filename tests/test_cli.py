@@ -117,6 +117,14 @@ class TestScanCommand:
         assert code == 0
         assert "Odds ratio" in out
 
+    def test_unwritable_out_is_a_data_error(self, capsys, planted_csv, tmp_path):
+        path, _ = planted_csv
+        target = tmp_path / "missing-dir" / "scan.json"
+        code = main(["scan", "--input", path, "--outcome-col", "y", "--restarts", "1",
+                     "--out", str(target)])
+        assert code == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
 
@@ -211,10 +219,12 @@ class TestCompareCommand:
 
     def test_rejects_non_ranking_artifact(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"
-        bogus.write_text('{"schema": "other", "kind": "ranking"}')
-        code, _ = run(capsys, ["compare", "--rankings", str(bogus),
-                               "--rankings", str(bogus)])
-        assert code == 2
+        for data in [b'{"schema": "other", "kind": "ranking"}', b"[1, 2]",
+                     b'{"schema": "safs/1", "kind": "ranking"}', b"\xff\xfe"]:
+            bogus.write_bytes(data)
+            code = main(["compare", "--rankings", str(bogus), "--rankings", str(bogus)])
+            assert code == 2, data
+            assert str(bogus) in capsys.readouterr().err
 
 
 class TestSweepCommand:

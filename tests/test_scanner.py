@@ -24,8 +24,8 @@ from safs import (
 )
 from safs.dataset import constraints_bool_mask
 from safs.report import _PERMUTE_KEY
-from safs.scanner import (_EPS, _relabelled_scores, _ScanKernel, _score_counts,
-                           _score_counts_vec)
+from safs.scanner import (_best_of_restarts, _relabelled_scores, _ScanKernel,
+                           _score_counts, _score_counts_vec)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -234,6 +234,22 @@ class TestScan:
                   for r in range(1, 7)]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
 
+    @pytest.mark.parametrize("direction", [OVER, UNDER])
+    def test_exact_scores_at_a_million_records(self, direction):
+        # at N = 10^6 one ulp of the planted score is ~7e-12: the score the
+        # search carries must still equal the rescoring bit for bit
+        ds, _, _ = planted_dataset(0, n=10**6, n_noise=1)
+        feats = [0, 1, 2, 3]
+        kernel = _ScanKernel(ds, feats, direction)
+        scores = []
+        for r in (1, 2, 3):
+            config = ScanConfig(direction=direction, restarts=r)
+            score, descriptor = _best_of_restarts(kernel, feats, config)
+            assert score == score_subgroup(ds, descriptor, direction)[0]
+            scores.append(score)
+        assert scores == sorted(scores)
+        assert scan(ds, feats, config).score == score
+
     def test_never_beats_oracle_and_usually_matches(self):
         matches = 0
         for seed in range(20):
@@ -340,7 +356,7 @@ def reference_step(dataset, descriptor, feature, direction):
     scores = _score_counts_vec(np.cumsum(counts[order]), np.cumsum(sums[order]),
                                mu, direction)
     best = int(scores.argmax())
-    if scores[-1] >= scores[best] - _EPS:
+    if scores[-1] >= scores[best]:
         return None
     return frozenset(int(v) for v in order[: best + 1])
 
