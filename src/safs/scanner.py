@@ -5,10 +5,14 @@ random restarts. Each coordinate step finds the optimal value subset of one
 feature by rate-sorted prefix evaluation (the linear-time subset scanning
 property). An exhaustive oracle is provided for small instances.
 
-Cost: a scan keeps, per record, the number of constraints it violates, so
-the records matching every constraint but one are a single compare and a
-coordinate step costs O(N) for N records (plus O(C log C) to sort a
-feature's C values). A pass over K features costs O(K*N).
+Cost: a scan holds record sets as bitmasks, 64 records to a machine word.
+A coordinate step on a feature with C categories ANDs the other constraints'
+masks, O(K*N/64) word operations for K features and N records, then counts
+records and positives per value. Up to ``_BITS_MAX_CARD`` categories that is
+2*C bit counts, O(C*N/64); above it, one ``bincount`` over the N records,
+O(N). Sorting the values and scoring the prefixes adds O(C log C) and C
+Python-level score calls. A step whose answer cannot have changed since the
+feature's last step is skipped.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ _NOISE_PER_RECORD = 4 * sys.float_info.epsilon
 _BRUTE_FORCE_GUARD = 10_000_000
 # cap on coordinate-ascent passes per restart
 _MAX_PASSES = 50
+# a step counts a feature with at most this many categories by bit_count
+# and a wider one by bincount. Per step, bit counting won at C <= 12 and
+# bincount at C >= 16 for N from 5k to 10^6, ties at C = 14 (at N = 10^6:
+# 3.7 ms against 5.2 ms at C = 12, 6.1 ms against 4.9 ms at C = 16; a
+# 2-vCPU Xeon, Python 3.11, numpy 2.4).
+_BITS_MAX_CARD = 12
 
 
 def _check_direction(direction: str) -> None:
@@ -163,14 +173,6 @@ def _score_counts(n_s: int, sum_y: int, mu: float, direction: str) -> tuple[floa
     return (0.0 if abs(score) < n_s * _NOISE_PER_RECORD else score), q
 
 
-def _score_counts_vec(n_s: np.ndarray, sum_y: np.ndarray, mu: float,
-                      direction: str) -> np.ndarray:
-    """:func:`_score_counts` of each entry of two count arrays, so the score
-    a scan carries is bit-identical to the one it reports."""
-    return np.array([_score_counts(a, b, mu, direction)[0]
-                     for a, b in zip(n_s.tolist(), sum_y.tolist())])
-
-
 def _checked_mu(dataset: DiscreteDataset) -> float:
     mu = dataset.outcome_mean
     if not 0 < mu < 1:
@@ -198,73 +200,119 @@ def score_subgroup(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
 
 
 class _ScanKernel:
-    """Coordinate-step state of one scan over a fixed feature list.
+    """Coordinate-step state of one scan over a fixed feature list, on
+    record bitmasks (Python ints, bit i for record i).
 
-    ``miss[f]`` marks the records that violate the current constraint on
-    feature f and ``count`` is, per record, how many constraints it
-    violates. The subgroup is ``count == 0``; with f's constraint lifted it
-    is again ``count == 0`` once ``miss[f]`` is subtracted, so a coordinate
-    step needs no mask rebuilt over the other features.
+    ``allowed[f]`` is the records that feature f's current constraint
+    admits and ``y_bits`` the positive records; the records matching every
+    constraint but f's are the AND of the other masks. A step counts
+    records and positives per value of f among them: by bit-counting one
+    mask per value when f has at most ``_BITS_MAX_CARD`` categories, else by
+    one ``bincount`` of ``2*code + y`` weighted by the unpacked mask.
     """
 
     def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
         self.mu = _checked_mu(dataset)
         self.direction = direction
-        self.y = dataset.outcome.astype(np.float64)
-        self.cols = {f: np.ascontiguousarray(dataset.codes[:, f]) for f in features}
+        self.n = dataset.n_records
+        self.all_bits = (1 << self.n) - 1
         self.cards = {f: dataset.schemas[f].cardinality for f in features}
-        # a record violates at most one constraint per feature: no overflow
-        self.count = np.zeros(dataset.n_records, dtype=np.min_scalar_type(len(features)))
+        # small cardinality: one record mask per value; large: 2*code + y
+        self.value_bits: dict[int, list[int]] = {}
+        self.keys: dict[int, np.ndarray] = {}
+        for f in features:
+            col = dataset.codes[:, f]
+            if self.cards[f] <= _BITS_MAX_CARD:
+                self.value_bits[f] = [_bits_from_bool(col == v) for v in range(self.cards[f])]
+            else:
+                # intp: bincount casts any other index type on every call
+                self.keys[f] = 2 * col.astype(np.intp)
+        self.relabel(dataset.outcome)
         self.constraints: dict[int, frozenset[int]] = {}
-        self.miss: dict[int, np.ndarray] = {}
+        self.allowed: dict[int, int] = {}
+
+    def relabel(self, y: np.ndarray) -> None:
+        """Make ``y`` the outcome of every record."""
+        self.y_bits = _bits_from_bool(y != 0)
+        for keys in self.keys.values():
+            keys &= -2
+            keys |= y
 
     def _constrain(self, feature: int, values: frozenset[int]) -> None:
-        excluded = np.ones(self.cards[feature], dtype=bool)
-        excluded[list(values)] = False
-        miss = excluded.take(self.cols[feature])
-        self.count += miss
+        if feature in self.value_bits:
+            bits = self.value_bits[feature]
+            mask = 0
+            for v in values:
+                mask |= bits[v]
+        else:
+            admitted = np.zeros(self.cards[feature], dtype=bool)
+            admitted[list(values)] = True
+            mask = _bits_from_bool(admitted.repeat(2).take(self.keys[feature]))
         self.constraints[feature] = values
-        self.miss[feature] = miss
+        self.allowed[feature] = mask
+
+    def _matching(self, skip: int | None = None) -> int:
+        """Records matching every current constraint but ``skip``'s."""
+        mask = self.all_bits
+        for f, allowed in self.allowed.items():
+            if f != skip:
+                mask &= allowed
+        return mask
 
     def load(self, descriptor: SubgroupDescriptor) -> float | None:
         """Make ``descriptor`` the current subgroup and return its score,
         or None when it matches no record."""
-        self.count.fill(0)
-        self.constraints, self.miss = {}, {}
+        self.constraints, self.allowed = {}, {}
         for f, values in descriptor.constraints.items():
             self._constrain(f, values)
-        matched = self.count == 0
-        n_s = np.count_nonzero(matched)
+        matched = self._matching()
+        n_s = matched.bit_count()
         if not n_s:
             return None
-        return _score_counts(n_s, int(self.y[matched].sum()), self.mu, self.direction)[0]
+        return _score_counts(n_s, (matched & self.y_bits).bit_count(),
+                             self.mu, self.direction)[0]
+
+    def _value_counts(self, feature: int, others: int) -> tuple[list[int], list[int]]:
+        """Per value of ``feature``: records and positives among ``others``."""
+        if feature in self.value_bits:
+            bits = self.value_bits[feature]
+            positives = others & self.y_bits
+            return ([(others & b).bit_count() for b in bits],
+                    [(positives & b).bit_count() for b in bits])
+        weights = np.unpackbits(
+            np.frombuffer(others.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8),
+            count=self.n, bitorder="little")
+        # 0/1 weights: the sums are exact integers
+        both = np.bincount(self.keys[feature], weights=weights,
+                           minlength=2 * self.cards[feature]).astype(np.int64)
+        sums = both[1::2]
+        return (both[0::2] + sums).tolist(), sums.tolist()
 
     def step(self, feature: int) -> tuple[frozenset[int] | None, float]:
         """Replace one feature's constraint by the best value set given the
         others; return that set (None: unconstrained) and the new score."""
-        old = self.miss.pop(feature, None)
-        if old is not None:
-            self.count -= old
-            del self.constraints[feature]
-        others = self.count == 0
-        codes = self.cols[feature][others]
-        c = self.cards[feature]
-        counts = np.bincount(codes, minlength=c).astype(np.float64)
-        sums = np.bincount(codes, weights=self.y[others], minlength=c)
-        supported = counts.nonzero()[0]
-        if not supported.size:
+        counts, sums = self._value_counts(feature, self._matching(skip=feature))
+        supported = [v for v, n in enumerate(counts) if n]
+        if not supported:
             raise DataError("no records match the remaining constraints")
-        rates = sums[supported] / counts[supported]
         sign = -1.0 if self.direction == OVER else 1.0
-        order = supported[np.lexsort((supported, sign * rates))]
-        scores = _score_counts_vec(counts[order].cumsum(), sums[order].cumsum(),
-                                   self.mu, self.direction)
-        best = int(scores.argmax())  # ties -> shortest prefix
-        if scores[-1] >= scores[best]:
-            return None, float(scores[-1])  # all supported values: vacuous
-        values = frozenset(order[: best + 1].tolist())
-        self._constrain(feature, values)
-        return values, float(scores[best])
+        order = sorted(supported, key=lambda v: (sign * (sums[v] / counts[v]), v))
+        n_s = sum_y = 0
+        best, best_score = 0, -math.inf
+        for i, v in enumerate(order):
+            n_s += counts[v]
+            sum_y += sums[v]
+            score = _score_counts(n_s, sum_y, self.mu, self.direction)[0]
+            if score > best_score:  # ties -> shortest prefix
+                best, best_score = i, score
+        if score >= best_score:  # all supported values: vacuous
+            self.constraints.pop(feature, None)
+            self.allowed.pop(feature, None)
+            return None, score
+        values = frozenset(order[: best + 1])
+        if values != self.constraints.get(feature):
+            self._constrain(feature, values)
+        return values, best_score
 
 
 def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
@@ -312,11 +360,23 @@ def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
 def _ascend(kernel: _ScanKernel, score: float, features: Sequence[int],
             rng: np.random.Generator) -> tuple[SubgroupDescriptor, float]:
     """Coordinate ascent from the kernel's current subgroup to a local
-    maximum: it stops after a pass that does not strictly raise the score."""
+    maximum: it stops after a pass that does not strictly raise the score.
+
+    A step depends only on the other features' constraints, so a feature
+    stepped since the last change to any other constraint is skipped: its
+    step would return its current set and the current score.
+    """
+    settled: set[int] = set()
     for _ in range(_MAX_PASSES):
         start = score
-        for f in rng.permutation(np.asarray(features)):
-            _, score = kernel.step(int(f))
+        for f in rng.permutation(np.asarray(features)).tolist():
+            if f in settled:
+                continue
+            old = kernel.constraints.get(f)
+            values, score = kernel.step(f)
+            if values != old:
+                settled.clear()
+            settled.add(f)
         if score <= start:
             break
     return SubgroupDescriptor(kernel.constraints), score
@@ -379,10 +439,9 @@ def _relabelled_scores(dataset: DiscreteDataset, features: Sequence[int],
     order, on one kernel: a permutation keeps the positives, so ``mu`` holds."""
     feats = _validate_features(dataset, features)
     kernel = _ScanKernel(dataset, feats, config.direction)
-    y = kernel.y
     scores = []
     for order in orders:
-        kernel.y = y[order]
+        kernel.relabel(dataset.outcome[order])
         scores.append(_best_of_restarts(kernel, feats, config)[0])
     return scores
 

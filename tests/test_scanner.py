@@ -24,8 +24,9 @@ from safs import (
 )
 from safs.dataset import constraints_bool_mask
 from safs.report import _PERMUTE_KEY
-from safs.scanner import (_best_of_restarts, _relabelled_scores, _ScanKernel,
-                           _score_counts, _score_counts_vec)
+from safs.scanner import (_BITS_MAX_CARD, _MAX_PASSES, _ascend, _best_of_restarts,
+                           _random_descriptor, _relabelled_scores, _ScanKernel,
+                           _score_counts)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -238,17 +239,24 @@ class TestScan:
     def test_exact_scores_at_a_million_records(self, direction):
         # at N = 10^6 one ulp of the planted score is ~7e-12: the score the
         # search carries must still equal the rescoring bit for bit
-        ds, _, _ = planted_dataset(0, n=10**6, n_noise=1)
-        feats = [0, 1, 2, 3]
-        kernel = _ScanKernel(ds, feats, direction)
-        scores = []
-        for r in (1, 2, 3):
-            config = ScanConfig(direction=direction, restarts=r)
-            score, descriptor = _best_of_restarts(kernel, feats, config)
-            assert score == score_subgroup(ds, descriptor, direction)[0]
-            scores.append(score)
-        assert scores == sorted(scores)
-        assert scan(ds, feats, config).score == score
+        planted, _, _ = planted_dataset(0, n=10**6, n_noise=1)
+        # plus a feature counted by bincount: 15 categories nested in f00's
+        rng = np.random.default_rng(1)
+        nested = planted.codes[:, 0] * 5 + rng.integers(0, 5, planted.n_records)
+        wide = make_dataset([3, 3, 3, 2, 15], np.column_stack([planted.codes, nested]),
+                            planted.outcome)
+        assert wide.schemas[4].cardinality > _BITS_MAX_CARD
+        for ds in (planted, wide):
+            feats = list(range(ds.n_features))
+            kernel = _ScanKernel(ds, feats, direction)
+            scores = []
+            for r in (1, 2, 3):
+                config = ScanConfig(direction=direction, restarts=r)
+                score, descriptor = _best_of_restarts(kernel, feats, config)
+                assert score == score_subgroup(ds, descriptor, direction)[0]
+                scores.append(score)
+            assert scores == sorted(scores)
+            assert scan(ds, feats, config).score == score
 
     def test_never_beats_oracle_and_usually_matches(self):
         matches = 0
@@ -353,17 +361,23 @@ def reference_step(dataset, descriptor, feature, direction):
     rates = sums[supported] / counts[supported]
     sign = -1.0 if direction == OVER else 1.0
     order = supported[np.lexsort((supported, sign * rates))]
-    scores = _score_counts_vec(np.cumsum(counts[order]), np.cumsum(sums[order]),
-                               mu, direction)
-    best = int(scores.argmax())
+    scores = [_score_counts(n_s, sum_y, mu, direction)[0]
+              for n_s, sum_y in zip(np.cumsum(counts[order]).tolist(),
+                                    np.cumsum(sums[order]).tolist())]
+    best = int(np.argmax(scores))
     if scores[-1] >= scores[best]:
         return None
     return frozenset(int(v) for v in order[: best + 1])
 
 
+# cardinalities on both sides of the kernel's bit-count / bincount split
+straddling_cards = st.one_of(st.integers(1, 4),
+                             st.integers(_BITS_MAX_CARD - 1, _BITS_MAX_CARD + 3))
+
+
 @st.composite
-def kernel_cases(draw, max_card=4, max_rows=300):
-    cards = draw(st.lists(st.integers(1, max_card), min_size=1, max_size=4))
+def kernel_cases(draw, cards=straddling_cards, max_rows=300):
+    cards = draw(st.lists(cards, min_size=1, max_size=4))
     rows = draw(st.lists(st.tuples(*[st.integers(0, c - 1) for c in cards]),
                          min_size=2, max_size=max_rows))
     y = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
@@ -408,8 +422,26 @@ class TestKernelProperties:
             # exact: the carried score is the rescored one, bit for bit
             assert score == score_subgroup(ds, descriptor, direction)[0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases(cards=st.integers(1, 6)), step=st.integers(0, 3))
+    def test_step_beats_every_subset_of_supported_values(self, case, step):
+        # prefix optimality under the other constraints
+        ds, descriptor, direction = case
+        f = step % ds.n_features
+        others = descriptor.replace(f, None)
+        matching = constraints_bool_mask(ds, others.constraints)
+        assume(matching.any())
+        values = optimize_feature(ds, descriptor, f, direction)
+        got = score_subgroup(ds, others.replace(f, values), direction)[0]
+        supported = np.unique(ds.codes[matching, f]).tolist()
+        for r in range(1, len(supported) + 1):
+            for subset in itertools.combinations(supported, r):
+                score = score_subgroup(ds, others.replace(f, frozenset(subset)), direction)[0]
+                # exact in real arithmetic; distinct counts may round within an ulp
+                assert got >= score * (1 - 1e-12)
+
     @settings(max_examples=60, deadline=None)
-    @given(case=kernel_cases(max_card=3, max_rows=60), seed=st.integers(0, 2**16))
+    @given(case=kernel_cases(cards=st.integers(1, 3), max_rows=60), seed=st.integers(0, 2**16))
     def test_scan_never_beats_oracle(self, case, seed):
         ds, _, direction = case
         feats = list(range(ds.n_features))
@@ -424,11 +456,53 @@ def synth_cases(draw):
     make = draw(st.sampled_from([
         lambda: planted_dataset(seed, n=300, n_noise=3)[0],
         lambda: random_dataset(seed, n=150),
+        lambda: random_dataset(seed, n=150, max_card=_BITS_MAX_CARD + 4),
         lambda: noise_dataset(seed, n=90),
     ]))
     direction = draw(st.sampled_from([OVER, UNDER]))
     restarts = draw(st.sampled_from([1, 5]))
     return make(), ScanConfig(direction=direction, restarts=restarts, seed=seed)
+
+
+def every_step_ascent(kernel, score, features, rng):
+    """The coordinate ascent that steps every feature in every pass."""
+    for _ in range(_MAX_PASSES):
+        start = score
+        for f in rng.permutation(np.asarray(features)):
+            _, score = kernel.step(int(f))
+        if score <= start:
+            break
+    return SubgroupDescriptor(kernel.constraints), score
+
+
+class CountingKernel(_ScanKernel):
+    steps = 0
+
+    def step(self, feature):
+        self.steps += 1
+        return super().step(feature)
+
+
+class TestAscent:
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=synth_cases())
+    def test_skipping_settled_steps_changes_nothing(self, case):
+        ds, config = case
+        feats = list(range(ds.n_features))
+        skipping = CountingKernel(ds, feats, config.direction)
+        every = CountingKernel(ds, feats, config.direction)
+        for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
+            start = _random_descriptor(skipping.cards, feats, np.random.default_rng(child))
+            score = skipping.load(start)
+            assume(score is not None)
+            assert every.load(start) == score
+            rng_skipping, rng_every = (np.random.default_rng(child) for _ in range(2))
+            assert (_ascend(skipping, score, feats, rng_skipping)
+                    == every_step_ascent(every, score, feats, rng_every))
+            # the same passes: the same draws
+            assert rng_skipping.random() == rng_every.random()
+        assert skipping.steps <= every.steps
 
 
 class TestRelabelledScores:
@@ -465,17 +539,6 @@ def score_cases(draw):
 
 
 class TestScoreProperties:
-
-    @settings(max_examples=500, deadline=None)
-    @given(case=score_cases(), others=st.lists(
-        st.integers(1, 10**9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
-        max_size=20), position=st.integers(0, 20))
-    def test_scalar_is_the_vector_entry(self, case, others, position):
-        n_s, sum_y, mu, direction = case
-        i = min(position, len(others))
-        counts = np.array(others[:i] + [(n_s, sum_y)] + others[i:], dtype=np.float64)
-        scores = _score_counts_vec(counts[:, 0], counts[:, 1], mu, direction)
-        assert _score_counts(n_s, sum_y, mu, direction)[0] == scores[i]
 
     @settings(max_examples=500, deadline=None)
     @given(case=score_cases())
