@@ -142,19 +142,25 @@ def q_mle(n_s: int, sum_y: int, mu: float) -> float:
         raise DataError(f"global outcome rate must be in (0, 1), got {mu}")
     if n_s < 1 or not 0 <= sum_y <= n_s:
         raise DataError(f"invalid subgroup counts n_s={n_s}, sum_y={sum_y}")
+    return _q_hat(n_s, sum_y, mu)
+
+
+def _q_hat(n_s: int, sum_y: int, mu: float) -> float:
+    """:func:`q_mle` without its checks, for counts valid by construction."""
     if sum_y == n_s:
         return math.inf
     return (sum_y * (1.0 - mu)) / (mu * (n_s - sum_y))
 
 
 def _score_counts(n_s: int, sum_y: int, mu: float, direction: str) -> tuple[float, float]:
-    """(score, clamped q_hat) for aggregate subgroup counts.
+    """(score, clamped q_hat) for aggregate subgroup counts: ``n_s >= 1``,
+    ``0 <= sum_y <= n_s`` and ``0 < mu < 1``, which callers guarantee.
 
     The only evaluation of the score. It uses math.log, whose result does
     not depend on the CPU: numpy's SIMD np.log differs from it in the last
     bit on some inputs.
     """
-    q = q_mle(n_s, sum_y, mu)
+    q = _q_hat(n_s, sum_y, mu)
     if direction == OVER:
         if q <= 1.0:
             return 0.0, 1.0
@@ -335,16 +341,27 @@ def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
 
 def _random_descriptor(cards: Mapping[int, int], features: Sequence[int],
                        rng: np.random.Generator) -> SubgroupDescriptor:
-    """Uniformly random non-empty value subset per feature, normalized."""
-    constraints = {}
-    for f in features:
-        c = cards[f]
+    """Uniformly random non-empty value subset per feature, normalized.
+
+    A feature of C categories takes the next C uniform draws of ``rng`` and
+    admits the values drawn below 0.5; if it admits none, it takes the next
+    C. The draws of all features come from one call, and a retry, which
+    consumes draws meant for later features, tops the buffer up by the
+    shortfall, so ``rng`` ends where one call per draw would leave it.
+    """
+    sizes = [cards[f] for f in features]
+    draws = (rng.random(sum(sizes)) < 0.5).tolist()
+    constraints, pos = {}, 0
+    for f, c in zip(features, sizes):
         while True:
-            picks = np.flatnonzero(rng.random(c) < 0.5)
-            if picks.size:
+            if pos + c > len(draws):
+                draws += (rng.random(pos + c - len(draws)) < 0.5).tolist()
+            picks = [v for v, admit in enumerate(draws[pos:pos + c]) if admit]
+            pos += c
+            if picks:
                 break
-        if picks.size < c:
-            constraints[f] = frozenset(int(v) for v in picks)
+        if len(picks) < c:
+            constraints[f] = frozenset(picks)
     return SubgroupDescriptor(constraints)
 
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import string
 import tracemalloc
 import warnings
@@ -18,7 +19,7 @@ from safs import (
     stratify,
     subgroup_mask,
 )
-from safs.dataset import _encode_numeric
+from safs.dataset import DEFAULT_MISSING_LABEL, _encode_numeric, _encode_text
 from synth import make_dataset, random_dataset, write_csv
 
 
@@ -302,8 +303,9 @@ CELLS = ["", "1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١", "A", "b c", "
 @st.composite
 def csv_texts(draw):
     """CSV text close to the ingest rules' edges: numeric-looking, empty, quoted,
-    non-ASCII and '#' cells, mixed line endings, blank lines and now and then
-    a row of the wrong length or a bad outcome cell."""
+    non-ASCII and '#' cells, a line ending drawn per line (so "\r\r\n" and
+    "\n\r" occur), blank lines and now and then a row of the wrong length or a
+    bad outcome cell."""
     n_features = draw(st.integers(1, 3))
     header = [f"c{j}" for j in range(n_features)] + ["y"]
     column_cells = [draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4))
@@ -319,11 +321,47 @@ def csv_texts(draw):
         lines.append(",".join(row))
         if draw(st.integers(0, 8)) == 0:
             lines.append("")
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+    eol = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(eol) for line in lines[:-1]) + lines[-1] + draw(
+        st.one_of(st.just(""), eol))
+
+
+def dict_encode(cells, missing_label):
+    """First-appearance codes from a dict; empty cells are the missing label."""
+    index, codes = {}, []
+    for cell in cells:
+        codes.append(index.setdefault(cell or missing_label, len(index)))
+    return list(index), codes
+
+
+# ASCII, 2-byte, BMP, astral and the last code point: packed cells cross
+# word boundaries at every width. 13 astral code points are too wide to pack
+TEXT_CELLS = st.one_of(
+    st.text(st.sampled_from("ab\u00e9\u4e00\U0001f642\U0010ffff"), max_size=10),
+    st.sampled_from(["", "a", "aaa", "aaaa", "\U0010ffff" * 13, DEFAULT_MISSING_LABEL]))
 
 
 class TestIngestProperties:
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(TEXT_CELLS, min_size=1, max_size=40),
+           missing_label=st.sampled_from([DEFAULT_MISSING_LABEL, "a", "?"]))
+    def test_encode_text_matches_a_dict(self, cells, missing_label):
+        expected = dict_encode(cells, missing_label)
+        for column in (np.array(cells), np.array(cells, dtype=object)):
+            labels, codes = _encode_text(column, missing_label)
+            assert (labels, codes.tolist()) == expected
+
+    @pytest.mark.parametrize("alphabet, longest", [("\x01\x7f", 10),
+                                                   ("\x01a\x7f\u07ff\U0010ffff", 4)])
+    def test_encode_text_keeps_every_distinct_cell(self, alphabet, longest):
+        # every string up to the longest, in shuffled order: code points that
+        # differ in the top or bottom bit, at every place of 2-word cells
+        cells = ["".join(p) for k in range(longest + 1)
+                 for p in itertools.product(alphabet, repeat=k)]
+        cells = np.random.default_rng(0).permutation(cells * 2).tolist()
+        labels, codes = _encode_text(np.array(cells), DEFAULT_MISSING_LABEL)
+        assert (labels, codes.tolist()) == dict_encode(cells, DEFAULT_MISSING_LABEL)
 
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts())

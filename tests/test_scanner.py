@@ -505,6 +505,37 @@ class TestAscent:
         assert skipping.steps <= every.steps
 
 
+def per_feature_descriptor(cards, features, rng):
+    """The random start drawn one ``rng.random(c)`` call per feature."""
+    constraints = {}
+    for f in features:
+        c = cards[f]
+        while True:
+            picks = np.flatnonzero(rng.random(c) < 0.5)
+            if picks.size:
+                break
+        if picks.size < c:
+            constraints[f] = frozenset(int(v) for v in picks)
+    return SubgroupDescriptor(constraints)
+
+
+class TestRandomStart:
+
+    @settings(max_examples=200, deadline=None)
+    @given(cards=st.lists(st.one_of(st.just(1), st.just(2), st.integers(3, 15)),
+                          min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1), starts=st.integers(1, 6))
+    def test_one_draw_matches_the_per_feature_loop(self, cards, seed, starts):
+        # cardinality 1 and 2 features retry often, which moves later draws
+        features = list(range(len(cards)))[::-1]
+        card_of = dict(enumerate(cards))
+        batched, looped = (np.random.default_rng(seed) for _ in range(2))
+        for _ in range(starts):
+            assert (_random_descriptor(card_of, features, batched)
+                    == per_feature_descriptor(card_of, features, looped))
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+
 class TestRelabelledScores:
 
     @settings(max_examples=40, deadline=None)
