@@ -9,14 +9,14 @@ numpy finds their line ends and commas with elementwise passes, O(bytes), to
 check the row lengths and to size each text column to its widest cell. One
 ``np.loadtxt`` pass of numpy's C tokenizer then parses every column: float64
 where the first cell is a number or empty, text otherwise. A fixed-width text
-column is packed into one int64 key per cell and encoded in first-appearance
-order by one ``np.unique`` of the keys, O(N log N) integer work with no string
-compared; a column of Python strings (a file with a double quote, an
-over-long cell) or of more than four words per cell sorts its strings
-instead. The outcome is encoded with one ``np.unique``; each numeric column is
-binned with one quantile and one digitize. ``float()`` runs per cell only as
-the fallback, for columns in which numpy's float parser rejects a cell (an
-empty cell, ``1_000``, non-ASCII digits, a text cell below a number).
+column whose cells fit one 63-bit word (9 ASCII characters, 3 astral ones) is
+packed into one int64 key per cell and encoded in first-appearance order by
+one argsort of the keys, O(N log N) integer work with no string compared; a column of wider cells or of Python strings (a file with a double
+quote, an over-long cell) sorts its strings instead. The outcome is encoded
+with one ``np.unique``; each numeric column is binned with one quantile and
+one digitize. ``float()`` runs per cell only as the fallback, for columns in
+which numpy's float parser rejects a cell (an empty cell, ``1_000``, non-ASCII
+digits, a text cell below a number).
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ DEFAULT_BINS = 5
 DEFAULT_MISSING_LABEL = "⟨missing⟩"
 
 _OUTCOME_MAP = {"0": 0, "false": 0, "1": 1, "true": 1}
-# a str column packs into at most this many int64 words per cell, else its
-# strings are sorted: each extra word costs two rank sorts. A 20k-row column
-# of 30 or 2,000 distinct cells took 3.5-5.7 ms packed in 4 words against
-# 4.7-7.2 ms as strings, and 7.1-10.1 ms in 7 words against 5.6-6.1 ms
-_MAX_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -212,49 +207,41 @@ def _encode_text(cells: np.ndarray, missing_label: str) -> tuple[list[str], np.n
     empty = cells == ""
     if empty.any():
         cells = np.where(empty, missing_label, cells)
-    inverse = np.unique(_keys(cells), return_inverse=True)[1]
-    # each distinct cell's first row, then the distinct cells in row order
-    first = np.full(inverse.max() + 1, inverse.size, dtype=np.intp)
-    np.minimum.at(first, inverse, np.arange(inverse.size))
+    # np.unique's grouping, with each group's first row as its least row:
+    # return_index would sort stably, which took 3x as long on int64 keys
+    keys = _keys(cells)
+    rows = np.argsort(keys)
+    sorted_keys = keys[rows]
+    new = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    first = np.minimum.reduceat(rows, np.flatnonzero(new))
     order = np.argsort(first)
     codes = np.empty_like(order)
     codes[order] = np.arange(order.size)
-    return cells[first[order]].tolist(), codes[inverse]
+    row_codes = np.empty_like(rows)
+    row_codes[rows] = codes[np.cumsum(new) - 1]
+    return cells[first[order]].tolist(), row_codes
 
 
 def _keys(cells: np.ndarray) -> np.ndarray:
     """Sort keys for a text column, equal exactly where the cells are equal:
-    for a fixed-width str column of at most ``_MAX_WORDS`` packed words,
-    one int64 per cell, else the cells themselves.
+    one int64 per cell for a fixed-width str column whose cells fit one
+    63-bit word, else the cells themselves.
 
     A str cell is a row of code points below 2**21, zero-padded to the
-    column's width. Each takes the bits of the column's largest code point
-    and as many as fit share a 63-bit word: 3 per word at 21 bits, 9 for
-    ASCII. The words of a wider column are combined by dense rank,
-    ``rank(key) * N + rank(word)``, which stays below 2**63 for N below
-    3 * 10**9 rows.
+    column's width. Each takes the bits of the column's largest code point,
+    so a word holds 9 ASCII or 3 astral code points.
     """
     if cells.dtype.kind != "U":
         return cells
     n, width = cells.size, cells.dtype.itemsize // 4
     units = np.ascontiguousarray(cells).view(np.uint32).reshape(n, width)
     bits = max(int(units.max()).bit_length(), 1)
-    per_word = 63 // bits
-    words = -(-width // per_word)
-    if words > _MAX_WORDS:
+    if width * bits > 63:
         return cells
-    packed = np.zeros((words, n), dtype=np.int64)
+    key = np.zeros(n, dtype=np.int64)
     for j in range(width):
-        word, place = divmod(j, per_word)
-        packed[word] |= np.left_shift(units[:, j], bits * place, dtype=np.int64)
-    key = packed[0]
-    for word in packed[1:]:
-        key = _dense_rank(key) * n + _dense_rank(word)
+        key |= np.left_shift(units[:, j], bits * j, dtype=np.int64)
     return key
-
-
-def _dense_rank(keys: np.ndarray) -> np.ndarray:
-    return np.unique(keys, return_inverse=True)[1]
 
 
 def _check_fields(fields: np.ndarray, ncols: int, path) -> None:

@@ -19,7 +19,7 @@ from safs import (
     stratify,
     subgroup_mask,
 )
-from safs.dataset import DEFAULT_MISSING_LABEL, _encode_numeric, _encode_text
+from safs.dataset import DEFAULT_MISSING_LABEL, _encode_numeric, _encode_text, _keys
 from synth import make_dataset, random_dataset, write_csv
 
 
@@ -334,32 +334,40 @@ def dict_encode(cells, missing_label):
     return list(index), codes
 
 
-# ASCII, 2-byte, BMP, astral and the last code point: packed cells cross
-# word boundaries at every width. 13 astral code points are too wide to pack
-TEXT_CELLS = st.one_of(
-    st.text(st.sampled_from("ab\u00e9\u4e00\U0001f642\U0010ffff"), max_size=10),
-    st.sampled_from(["", "a", "aaa", "aaaa", "\U0010ffff" * 13, DEFAULT_MISSING_LABEL]))
+@st.composite
+def text_columns(draw):
+    """A text column and its missing label. Cells hold up to a drawn number
+    of ASCII, 2-byte, BMP, astral and last code points, so some columns pack
+    into one int64 word and some do not; empty cells and cells equal to the
+    missing label are mixed in."""
+    missing_label = draw(st.sampled_from([DEFAULT_MISSING_LABEL, "a", "?"]))
+    longest = draw(st.integers(0, 10))
+    cell = st.one_of(
+        st.text(st.sampled_from("ab\u00e9\u4e00\U0001f642\U0010ffff"), max_size=longest),
+        st.sampled_from(["", missing_label]))
+    return draw(st.lists(cell, min_size=1, max_size=40)), missing_label
 
 
 class TestIngestProperties:
 
     @settings(max_examples=300, deadline=None)
-    @given(cells=st.lists(TEXT_CELLS, min_size=1, max_size=40),
-           missing_label=st.sampled_from([DEFAULT_MISSING_LABEL, "a", "?"]))
-    def test_encode_text_matches_a_dict(self, cells, missing_label):
+    @given(column=text_columns())
+    def test_encode_text_matches_a_dict(self, column):
+        cells, missing_label = column
         expected = dict_encode(cells, missing_label)
         for column in (np.array(cells), np.array(cells, dtype=object)):
             labels, codes = _encode_text(column, missing_label)
             assert (labels, codes.tolist()) == expected
 
-    @pytest.mark.parametrize("alphabet, longest", [("\x01\x7f", 10),
-                                                   ("\x01a\x7f\u07ff\U0010ffff", 4)])
+    @pytest.mark.parametrize("alphabet, longest", [("\x01\x7f", 9),
+                                                   ("\x01a\x7f\u07ff\U0010ffff", 3)])
     def test_encode_text_keeps_every_distinct_cell(self, alphabet, longest):
         # every string up to the longest, in shuffled order: code points that
-        # differ in the top or bottom bit, at every place of 2-word cells
-        cells = ["".join(p) for k in range(longest + 1)
+        # differ in the top or bottom bit, at every place of a full word
+        cells = ["".join(p) for k in range(1, longest + 1)
                  for p in itertools.product(alphabet, repeat=k)]
         cells = np.random.default_rng(0).permutation(cells * 2).tolist()
+        assert _keys(np.array(cells)).dtype == np.int64
         labels, codes = _encode_text(np.array(cells), DEFAULT_MISSING_LABEL)
         assert (labels, codes.tolist()) == dict_encode(cells, DEFAULT_MISSING_LABEL)
 
