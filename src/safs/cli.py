@@ -134,9 +134,13 @@ def _load_ranking_file(path: str) -> tuple[str, list[str]]:
         raise DataError(f"{path} is not a {SCHEMA} ranking artifact")
     try:
         payload = doc["payload"]
-        return payload["method"], [e["feature"] for e in payload["entries"]]
+        method, features = payload["method"], [e["feature"] for e in payload["entries"]]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path} lacks payload.method or payload.entries[*].feature") from exc
+    if not all(isinstance(v, str) for v in [method, *features]):
+        raise DataError(f"{path}: payload.method and payload.entries[*].feature "
+                        "must be strings")
+    return method, features
 
 
 def _options(*opts):

@@ -54,21 +54,14 @@ def _check_direction(direction: str) -> None:
 class SubgroupDescriptor:
     """AND-of-ORs subgroup: feature index -> non-empty set of included codes.
 
-    Only constrained features appear; a constraint covering all of a
-    feature's categories is vacuous and should be normalized away via
-    :meth:`normalize`.
+    Only constrained features appear. A constraint covering all of a
+    feature's categories is vacuous; the scan never produces one.
     """
 
     __slots__ = ("constraints",)
 
     def __init__(self, constraints: Mapping[int, Iterable[int]] = ()):
         self.constraints = _validate_constraints(constraints)
-
-    def normalize(self, dataset: DiscreteDataset) -> "SubgroupDescriptor":
-        """Drop constraints that include every category of their feature."""
-        kept = {f: vs for f, vs in self.constraints.items()
-                if len(vs) < dataset.schemas[f].cardinality}
-        return SubgroupDescriptor(kept)
 
     def replace(self, feature: int, values: frozenset[int] | None) -> "SubgroupDescriptor":
         """New descriptor with one feature's constraint set or removed."""
@@ -119,6 +112,8 @@ class ScanConfig:
         _check_direction(self.direction)
         if self.restarts < 1:
             raise DataError("restarts must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +201,9 @@ def score_subgroup(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
 
 
 class _ScanKernel:
-    """Coordinate-step state of one scan over a fixed feature list, on
-    record bitmasks (Python ints, bit i for record i).
+    """One scan problem (a dataset, a feature list and a direction), checked
+    once, and its coordinate-step state on record bitmasks (Python ints,
+    bit i for record i). ``features`` is the checked feature list.
 
     ``allowed[f]`` is the records that feature f's current constraint
     admits and ``y_bits`` the positive records; the records matching every
@@ -218,15 +214,17 @@ class _ScanKernel:
     """
 
     def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
+        _check_direction(direction)
+        self.features = _validate_features(dataset, features)
         self.mu = _checked_mu(dataset)
         self.direction = direction
         self.n = dataset.n_records
         self.all_bits = (1 << self.n) - 1
-        self.cards = {f: dataset.schemas[f].cardinality for f in features}
+        self.cards = {f: dataset.schemas[f].cardinality for f in self.features}
         # small cardinality: one record mask per value; large: 2*code + y
         self.value_bits: dict[int, list[int]] = {}
         self.keys: dict[int, np.ndarray] = {}
-        for f in features:
+        for f in self.features:
             col = dataset.codes[:, f]
             if self.cards[f] <= _BITS_MAX_CARD:
                 self.value_bits[f] = [_bits_from_bool(col == v) for v in range(self.cards[f])]
@@ -330,18 +328,18 @@ def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     the constraint is dropped (the best prefix covers every supported value).
     Never worse than any other value subset, including the current one.
     """
-    _check_direction(direction)
     others = descriptor.replace(feature, None)
     _validate_constraints(others.constraints, dataset)
-    feats = _validate_features(dataset, [feature, *others.constraints])
-    kernel = _ScanKernel(dataset, feats, direction)
+    kernel = _ScanKernel(dataset, [feature, *others.constraints], direction)
     kernel.load(others)
-    return kernel.step(feats[0])[0]
+    return kernel.step(kernel.features[0])[0]
 
 
-def _random_descriptor(cards: Mapping[int, int], features: Sequence[int],
+def _random_descriptor(cards: Mapping[int, int],
                        rng: np.random.Generator) -> SubgroupDescriptor:
-    """Uniformly random non-empty value subset per feature, normalized.
+    """Uniformly random non-empty value subset per feature of ``cards``
+    (feature -> category count, in draw order); a feature that admits every
+    value is left unconstrained.
 
     A feature of C categories takes the next C uniform draws of ``rng`` and
     admits the values drawn below 0.5; if it admits none, it takes the next
@@ -349,10 +347,9 @@ def _random_descriptor(cards: Mapping[int, int], features: Sequence[int],
     consumes draws meant for later features, tops the buffer up by the
     shortfall, so ``rng`` ends where one call per draw would leave it.
     """
-    sizes = [cards[f] for f in features]
-    draws = (rng.random(sum(sizes)) < 0.5).tolist()
+    draws = (rng.random(sum(cards.values())) < 0.5).tolist()
     constraints, pos = {}, 0
-    for f, c in zip(features, sizes):
+    for f, c in cards.items():
         while True:
             if pos + c > len(draws):
                 draws += (rng.random(pos + c - len(draws)) < 0.5).tolist()
@@ -374,7 +371,7 @@ def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
                       subset_outcome_sum=sum_y, elapsed=elapsed)
 
 
-def _ascend(kernel: _ScanKernel, score: float, features: Sequence[int],
+def _ascend(kernel: _ScanKernel, score: float,
             rng: np.random.Generator) -> tuple[SubgroupDescriptor, float]:
     """Coordinate ascent from the kernel's current subgroup to a local
     maximum: it stops after a pass that does not strictly raise the score.
@@ -386,7 +383,7 @@ def _ascend(kernel: _ScanKernel, score: float, features: Sequence[int],
     settled: set[int] = set()
     for _ in range(_MAX_PASSES):
         start = score
-        for f in rng.permutation(np.asarray(features)).tolist():
+        for f in rng.permutation(np.asarray(kernel.features)).tolist():
             if f in settled:
                 continue
             old = kernel.constraints.get(f)
@@ -411,7 +408,7 @@ def _validate_features(dataset: DiscreteDataset, features: Sequence[int]) -> lis
     return feats
 
 
-def _best_of_restarts(kernel: _ScanKernel, features: Sequence[int],
+def _best_of_restarts(kernel: _ScanKernel,
                       config: ScanConfig) -> tuple[float, SubgroupDescriptor]:
     """Best (score, descriptor) over the config's restarts on a built kernel;
     the score is the carried one, equal to the descriptor's rescoring. Ties
@@ -423,12 +420,12 @@ def _best_of_restarts(kernel: _ScanKernel, features: Sequence[int],
         score = None
         if r > 0:
             for _ in range(100):
-                score = kernel.load(_random_descriptor(kernel.cards, features, rng))
+                score = kernel.load(_random_descriptor(kernel.cards, rng))
                 if score is not None:
                     break
         if score is None:
             score = kernel.load(SubgroupDescriptor())
-        found.append(_ascend(kernel, score, features, rng))
+        found.append(_ascend(kernel, score, rng))
     descriptor, score = min(found, key=lambda d: (-d[1], d[0].sort_key()))
     return score, descriptor
 
@@ -442,10 +439,9 @@ def scan(dataset: DiscreteDataset, features: Sequence[int],
     freshly shuffled feature order until a full pass brings no improvement.
     Deterministic given the seed.
     """
-    feats = _validate_features(dataset, features)
     t0 = time.perf_counter()
-    kernel = _ScanKernel(dataset, feats, config.direction)
-    descriptor = _best_of_restarts(kernel, feats, config)[1]
+    kernel = _ScanKernel(dataset, features, config.direction)
+    descriptor = _best_of_restarts(kernel, config)[1]
     return _result_from(dataset, descriptor, config.direction,
                         time.perf_counter() - t0)
 
@@ -454,12 +450,11 @@ def _relabelled_scores(dataset: DiscreteDataset, features: Sequence[int],
                        config: ScanConfig, orders: Iterable[np.ndarray]) -> list[float]:
     """``scan(...).score`` with the outcome relabelled ``outcome[order]``, per
     order, on one kernel: a permutation keeps the positives, so ``mu`` holds."""
-    feats = _validate_features(dataset, features)
-    kernel = _ScanKernel(dataset, feats, config.direction)
+    kernel = _ScanKernel(dataset, features, config.direction)
     scores = []
     for order in orders:
         kernel.relabel(dataset.outcome[order])
-        scores.append(_best_of_restarts(kernel, feats, config)[0])
+        scores.append(_best_of_restarts(kernel, config)[0])
     return scores
 
 

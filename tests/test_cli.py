@@ -209,6 +209,12 @@ class TestCompareCommand:
         assert matrix[0][1] == matrix[1][0]
         assert 0 < matrix[0][1] <= 1.0
         assert set(payload["methods"]) == {"safs", "mutual-information"}
+        code, out = run(capsys, ["compare", "--rankings", a, "--rankings", b,
+                                 "--format", "text"])
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()]
+        assert [row[0] for row in rows] == payload["methods"]
+        assert rows[0][1:] == [f"{v:.4f}" for v in matrix[0]]
 
     def test_needs_two_files(self, capsys, random_csv, tmp_path):
         path, _ = random_csv
@@ -219,8 +225,11 @@ class TestCompareCommand:
 
     def test_rejects_non_ranking_artifact(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"
+        head = b'{"schema": "safs/1", "kind": "ranking", "payload": '
         for data in [b'{"schema": "other", "kind": "ranking"}', b"[1, 2]",
-                     b'{"schema": "safs/1", "kind": "ranking"}', b"\xff\xfe"]:
+                     b'{"schema": "safs/1", "kind": "ranking"}', b"\xff\xfe",
+                     head + b'{"method": ["safs"], "entries": [{"feature": "a"}]}}',
+                     head + b'{"method": "safs", "entries": [{"feature": {"a": 1}}]}}']:
             bogus.write_bytes(data)
             code = main(["compare", "--rankings", str(bogus), "--rankings", str(bogus)])
             assert code == 2, data
@@ -257,6 +266,11 @@ class TestSweepCommand:
 
 
 class TestExitCodes:
+
+    def test_help(self, capsys):
+        code, out = run(capsys, ["--help"])
+        assert code == 0
+        assert "pipeline" in out
 
     def test_unknown_option(self, capsys, random_csv):
         path, _ = random_csv
@@ -301,6 +315,15 @@ class TestBadCounts:
                                "--restarts", "1", "--permutations", "5",
                                "--threads", "-3"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["scan"], ["pipeline", "--permutations", "2"],
+                                         ["sweep", "--k", "1,2"]])
+    def test_negative_seed(self, capsys, random_csv, command):
+        path, _ = random_csv
+        code = main([*command, "--input", path, "--outcome-col", "y",
+                     "--restarts", "1", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestEnvVars:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safs import (
+    ContingencyTable,
     DataError,
     DiscreteDataset,
     DiscretizationSpec,
@@ -137,6 +138,14 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "a,y\nfoo,2\n"), "y")
         with pytest.raises(DataError):
             load_csv(write(tmp_path, "a,y\n"), "y")
+        with pytest.raises(DataError, match="empty file"):
+            load_csv(write(tmp_path, ""), "y")
+        with pytest.raises(DataError, match="no feature columns"):
+            load_csv(write(tmp_path, "y\n1\n0\n"), "y")
+        # csv.Error: a field larger than the csv module's field size limit
+        long_name = '"' + "a" * (csv.field_size_limit() + 1) + '"'
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(write(tmp_path, f"{long_name},y\n1,0\n"), "y")
 
 
 def same_dataset(a, b):
@@ -498,6 +507,26 @@ def test_dataset_immutable():
         ds.codes[0, 0] = 0
     with pytest.raises(ValueError):
         ds.outcome[0] = 0
+
+
+@pytest.mark.parametrize("codes, outcome, message", [
+    (np.zeros(3), [0, 1, 0], "matching the schemas"),
+    (np.zeros((3, 2)), [0, 1, 0], "matching the schemas"),
+    (np.zeros((0, 1)), [], "at least one record"),
+    (np.zeros((3, 1)), [0, 1], "outcome length"),
+    (np.zeros((3, 1)), [0, 1, 2], "binary"),
+    ([[0], [2], [1]], [0, 1, 0], "out-of-range codes"),
+    ([[0], [-1], [1]], [0, 1, 0], "out-of-range codes"),
+])
+def test_dataset_validation(codes, outcome, message):
+    schemas = [FeatureSchema("f", ("a", "b"))]
+    with pytest.raises(DataError, match=message):
+        DiscreteDataset(schemas, codes, outcome)
+
+
+def test_contingency_counts_non_negative():
+    with pytest.raises(DataError, match="non-negative"):
+        ContingencyTable(1, -1, 0, 0)
 
 
 def test_schema_validation():

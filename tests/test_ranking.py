@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from safs import (
     ContingencyTable,
     DataError,
+    FeatureRanking,
     gini_index,
     mutual_information_rank,
     safs_rank,
@@ -204,6 +205,10 @@ class TestSafsRank:
     def test_single_valued_feature_scores_zero(self):
         ds = make_dataset([1, 2], [[0, 0], [0, 1], [0, 0]], [1, 0, 1])
         assert dict(safs_rank(ds).entries)[0] == 0.0
+
+    def test_increasing_scores_rejected(self):
+        with pytest.raises(DataError, match="non-increasing"):
+            FeatureRanking("safs", ((0, 0.1), (1, 0.2)))
 
     def test_ranking_is_permutation_sorted_desc(self):
         ds = random_dataset(10, n_features=6)

@@ -139,6 +139,7 @@ class TestBuildReport:
         assert report.subset_pct == 100
         assert report.odds_ratio == 1.0
         assert report.no_divergence
+        assert "flag: no divergence" in report_text(report, ds).splitlines()
 
     @pytest.mark.parametrize("size, positives, direction", [(3, 1, OVER), (5, 2, UNDER)])
     def test_subgroup_at_the_global_rate_flagged(self, size, positives, direction):

@@ -149,6 +149,9 @@ class TestScoreSubgroup:
         degenerate = make_dataset([2], [[0], [1]], [1, 1])
         with pytest.raises(DataError):
             score_subgroup(degenerate, SubgroupDescriptor(), OVER)
+        unmatched = make_dataset([2, 2], [[0, 1], [1, 0]], [1, 0])
+        with pytest.raises(DataError, match="matches no records"):
+            score_subgroup(unmatched, SubgroupDescriptor({0: {0}, 1: {0}}), OVER)
 
 
 class TestOptimizeFeature:
@@ -252,7 +255,7 @@ class TestScan:
             scores = []
             for r in (1, 2, 3):
                 config = ScanConfig(direction=direction, restarts=r)
-                score, descriptor = _best_of_restarts(kernel, feats, config)
+                score, descriptor = _best_of_restarts(kernel, config)
                 assert score == score_subgroup(ds, descriptor, direction)[0]
                 scores.append(score)
             assert scores == sorted(scores)
@@ -284,9 +287,17 @@ class TestScan:
             scan(ds, [], ScanConfig())
         with pytest.raises(DataError):
             scan(ds, [0, 0], ScanConfig())
+        with pytest.raises(DataError, match="out of range"):
+            scan(ds, [0, ds.n_features], ScanConfig())
         degenerate = make_dataset([2], [[0], [1]], [0, 0])
         with pytest.raises(DataError):
             scan(degenerate, [0], ScanConfig())
+
+    @pytest.mark.parametrize("kwargs, message", [({"restarts": 0}, "restarts"),
+                                                 ({"seed": -1}, "seed")])
+    def test_config_errors(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            ScanConfig(**kwargs)
 
 
 class TestBruteForce:
@@ -327,12 +338,6 @@ class TestBruteForce:
 
 
 class TestDescriptor:
-
-    def test_normalize_drops_full_sets(self):
-        ds = random_dataset(0)
-        c0 = ds.schemas[0].cardinality
-        d = SubgroupDescriptor({0: set(range(c0)), 1: {0}})
-        assert d.normalize(ds).constraints == {1: frozenset({0})}
 
     def test_empty_value_set_rejected(self):
         with pytest.raises(DataError):
@@ -493,12 +498,12 @@ class TestAscent:
         skipping = CountingKernel(ds, feats, config.direction)
         every = CountingKernel(ds, feats, config.direction)
         for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
-            start = _random_descriptor(skipping.cards, feats, np.random.default_rng(child))
+            start = _random_descriptor(skipping.cards, np.random.default_rng(child))
             score = skipping.load(start)
             assume(score is not None)
             assert every.load(start) == score
             rng_skipping, rng_every = (np.random.default_rng(child) for _ in range(2))
-            assert (_ascend(skipping, score, feats, rng_skipping)
+            assert (_ascend(skipping, score, rng_skipping)
                     == every_step_ascent(every, score, feats, rng_every))
             # the same passes: the same draws
             assert rng_skipping.random() == rng_every.random()
@@ -528,10 +533,10 @@ class TestRandomStart:
     def test_one_draw_matches_the_per_feature_loop(self, cards, seed, starts):
         # cardinality 1 and 2 features retry often, which moves later draws
         features = list(range(len(cards)))[::-1]
-        card_of = dict(enumerate(cards))
+        card_of = {f: cards[f] for f in features}
         batched, looped = (np.random.default_rng(seed) for _ in range(2))
         for _ in range(starts):
-            assert (_random_descriptor(card_of, features, batched)
+            assert (_random_descriptor(card_of, batched)
                     == per_feature_descriptor(card_of, features, looped))
         assert batched.bit_generator.state == looped.bit_generator.state
 
