@@ -137,9 +137,9 @@ def _load_ranking_file(path: str) -> tuple[str, list[str]]:
         method, features = payload["method"], [e["feature"] for e in payload["entries"]]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path} lacks payload.method or payload.entries[*].feature") from exc
-    if not all(isinstance(v, str) for v in [method, *features]):
-        raise DataError(f"{path}: payload.method and payload.entries[*].feature "
-                        "must be strings")
+    if not features or not all(isinstance(v, str) for v in [method, *features]):
+        raise DataError(f"{path}: payload.entries must be non-empty, and payload.method "
+                        "and payload.entries[*].feature must be strings")
     return method, features
 
 
@@ -224,13 +224,15 @@ def scan_command(top_k, out, fmt, **kw):
 @_top_k_option
 @click.option("--permutations", default=100, show_default=True, type=int)
 @click.option("--threads", default=1, show_default=True, type=int,
-              help="Accepted for compatibility; no effect (replicates run "
-                   "serially in this process).")
+              help="Accepted for compatibility; must be >= 1 and has no effect "
+                   "(replicates run serially in this process).")
 def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     """Full run: rank, scan, permutation test, subgroup report."""
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
     run = _scan_run(top_k, **kw)
     p_value = empirical_p_value(run.dataset, run.features, run.config,
-                                run.result.score, permutations, threads)
+                                run.result.score, permutations)
     report = build_report(run.dataset, run.result, p_value)
     payload = run.payload()
     payload.update({
@@ -256,13 +258,15 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
 @_out_option
 @_format_option
 def compare_command(paths, persistence, out, fmt):
-    """Pairwise rank-biased overlap of saved rankings."""
+    """Pairwise rank-biased overlap of saved rankings, one row per input."""
     if len(paths) < 2:
         raise click.UsageError("need at least two --rankings files")
     rankings = {}
-    for path in paths:
+    for position, path in enumerate(paths, 1):
         method, features = _load_ranking_file(path)
         name = method if method not in rankings else f"{method}:{path}"
+        while name in rankings:
+            name = f"{name}#{position}"
         rankings[name] = features
     matrix = overlap_matrix(rankings, persistence)
     payload = {

@@ -38,8 +38,8 @@ def rank_biased_overlap(a: Sequence, b: Sequence, p: float = 0.9) -> float:
     """
     if not 0 < p < 1:
         raise DataError(f"persistence p must be in (0, 1), got {p}")
-    if len(a) != len(b) or set(a) != set(b):
-        raise DataError("rankings must be permutations of the same item set")
+    if not len(a) or len(a) != len(b) or set(a) != set(b):
+        raise DataError("rankings must be non-empty permutations of the same item set")
     if len(set(a)) != len(a):
         raise DataError("rankings must not contain duplicates")
     depth = len(a)

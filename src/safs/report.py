@@ -55,21 +55,16 @@ def odds_ratio_ci(table: ContingencyTable) -> tuple[float, float, float]:
 
 def empirical_p_value(dataset: DiscreteDataset, features: Sequence[int],
                       config: ScanConfig, observed_score: float,
-                      permutations: int = 100, threads: int = 1) -> float:
+                      permutations: int = 100) -> float:
     """Empirical p-value from label-permutation reruns of the scan.
 
     Each replicate permutes the outcome labels (seeded independently of the
     scan's restart stream) and reruns the scan with the identical config;
-    p = (1 + #{score >= observed}) / (permutations + 1).
-
-    Replicates run serially in the calling process. ``threads`` (>= 1) is
-    accepted for compatibility and has no effect; the thread pool it used
-    to size ran replicates slower than serial (numbers in the README).
+    p = (1 + #{score >= observed}) / (permutations + 1). Replicates run
+    serially in the calling process.
     """
     if permutations < 1:
         raise DataError("permutations must be >= 1")
-    if threads < 1:
-        raise DataError(f"threads must be >= 1, got {threads}")
     if math.isnan(observed_score):
         raise DataError("observed score is nan")
     seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)

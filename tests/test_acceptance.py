@@ -213,7 +213,7 @@ def test_acceptance_8_permutation_calibration():
         features = [0, 1, 2]
         observed = scan(ds, features, config).score
         p = empirical_p_value(ds, features, config, observed,
-                              permutations=100, threads=8)
+                              permutations=100)
         assert p > 0
         significant += p <= 0.05
     fraction = significant / 200

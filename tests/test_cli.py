@@ -216,6 +216,16 @@ class TestCompareCommand:
         assert [row[0] for row in rows] == payload["methods"]
         assert rows[0][1:] == [f"{v:.4f}" for v in matrix[0]]
 
+    def test_repeated_input_keeps_its_row(self, capsys, random_csv, tmp_path):
+        path, _ = random_csv
+        a = str(tmp_path / "a.json")
+        run(capsys, ["rank", "--input", path, "--outcome-col", "y", "--out", a])
+        code, out = run(capsys, ["compare"] + ["--rankings", a] * 3)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["methods"] == ["safs", f"safs:{a}", f"safs:{a}#3"]
+        assert payload["matrix"] == [[1.0] * 3] * 3
+
     def test_needs_two_files(self, capsys, random_csv, tmp_path):
         path, _ = random_csv
         a = str(tmp_path / "a.json")
@@ -229,7 +239,8 @@ class TestCompareCommand:
         for data in [b'{"schema": "other", "kind": "ranking"}', b"[1, 2]",
                      b'{"schema": "safs/1", "kind": "ranking"}', b"\xff\xfe",
                      head + b'{"method": ["safs"], "entries": [{"feature": "a"}]}}',
-                     head + b'{"method": "safs", "entries": [{"feature": {"a": 1}}]}}']:
+                     head + b'{"method": "safs", "entries": [{"feature": {"a": 1}}]}}',
+                     head + b'{"method": "safs", "entries": []}}']:
             bogus.write_bytes(data)
             code = main(["compare", "--rankings", str(bogus), "--rankings", str(bogus)])
             assert code == 2, data

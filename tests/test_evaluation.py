@@ -60,6 +60,8 @@ class TestRankBiasedOverlap:
             rank_biased_overlap([0, 1], [1, 0], p=1.0)
         with pytest.raises(DataError):
             rank_biased_overlap([0, 1], [1, 0], p=0.0)
+        with pytest.raises(DataError):
+            rank_biased_overlap([], [])
 
 
 class TestOverlapMatrix:

@@ -74,7 +74,7 @@ class TestEmpiricalPValue:
         cfg = ScanConfig(restarts=10, seed=5)
         observed = scan(ds, list(range(ds.n_features)), cfg).score
         p = empirical_p_value(ds, list(range(ds.n_features)), cfg, observed,
-                              permutations=100, threads=4)
+                              permutations=100)
         assert p == pytest.approx(1 / 101)
 
     def test_range_and_determinism(self):
@@ -86,15 +86,6 @@ class TestEmpiricalPValue:
         assert p1 == p2
         assert 1 / 31 <= p1 <= 1.0
 
-    def test_threads_match_sequential(self):
-        ds = noise_dataset(4)
-        cfg = ScanConfig(restarts=1, seed=2)
-        observed = scan(ds, [0, 1, 2], cfg).score
-        seq = empirical_p_value(ds, [0, 1, 2], cfg, observed, permutations=20)
-        par = empirical_p_value(ds, [0, 1, 2], cfg, observed, permutations=20,
-                                threads=4)
-        assert seq == par
-
     def test_nan_observed_score_raises(self):
         # no replicate score is >= nan, which would give the 1/(R+1) floor
         with pytest.raises(DataError):
@@ -105,10 +96,6 @@ class TestEmpiricalPValue:
         ds = noise_dataset(5)
         with pytest.raises(DataError):
             empirical_p_value(ds, [0], ScanConfig(), 1.0, permutations=0)
-        for threads in (0, -3):
-            with pytest.raises(DataError):
-                empirical_p_value(ds, [0], ScanConfig(), 1.0, permutations=5,
-                                  threads=threads)
 
 
 class TestBuildReport:

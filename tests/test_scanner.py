@@ -530,7 +530,7 @@ class TestRandomStart:
     @given(cards=st.lists(st.one_of(st.just(1), st.just(2), st.integers(3, 15)),
                           min_size=1, max_size=8),
            seed=st.integers(0, 2**32 - 1), starts=st.integers(1, 6))
-    def test_one_draw_matches_the_per_feature_loop(self, cards, seed, starts):
+    def test_start_matches_the_per_feature_loop(self, cards, seed, starts):
         # cardinality 1 and 2 features retry often, which moves later draws
         features = list(range(len(cards)))[::-1]
         card_of = {f: cards[f] for f in features}
