@@ -1,8 +1,8 @@
 """Tabular data model: CSV ingestion, quantile discretization, stratification.
 
-Records are stored as integer category codes (one column per feature) plus a
-binary outcome vector. The dataset is immutable after construction and safe to
-share across threads.
+Records are stored as integer category codes, column-major so that each
+feature's column is contiguous, plus a binary outcome vector. The dataset is
+immutable after construction and safe to share across threads.
 
 Ingest cost. ``load_csv`` reads the file's bytes once; without a double quote,
 numpy finds their line ends and commas with elementwise passes, O(bytes), to
@@ -11,12 +11,13 @@ check the row lengths and to size each text column to its widest cell. One
 where the first cell is a number or empty, text otherwise. A fixed-width text
 column whose cells fit one 63-bit word (9 ASCII characters, 3 astral ones) is
 packed into one int64 key per cell and encoded in first-appearance order by
-one argsort of the keys, O(N log N) integer work with no string compared; a column of wider cells or of Python strings (a file with a double
-quote, an over-long cell) sorts its strings instead. The outcome is encoded
-with one ``np.unique``; each numeric column is binned with one quantile and
-one digitize. ``float()`` runs per cell only as the fallback, for columns in
-which numpy's float parser rejects a cell (an empty cell, ``1_000``, non-ASCII
-digits, a text cell below a number).
+one argsort of the keys, O(N log N) integer work with no string compared; a
+column of wider cells or of Python strings (a file with a double quote, an
+over-long cell) sorts its strings instead. The outcome is encoded with one
+``np.unique``; each numeric column is binned with one quantile and one
+comparison per bin edge. ``float()`` runs per cell only as the fallback, for
+columns in which numpy's float parser rejects a cell (an empty cell,
+``1_000``, non-ASCII digits, a text cell below a number).
 """
 
 from __future__ import annotations
@@ -99,14 +100,15 @@ class DiscretizationSpec:
 class DiscreteDataset:
     """N records over M categorical features plus a binary outcome.
 
-    ``codes`` is an (N, M) integer array; column m indexes into
-    ``schemas[m].values``. Immutable after construction.
+    ``codes`` is an (N, M) integer array, column-major so that column m, a
+    contiguous view, indexes into ``schemas[m].values``. Immutable after
+    construction; ``outcome_counts`` is its one (value, outcome) tally.
     """
 
     def __init__(self, schemas: Sequence[FeatureSchema], codes: np.ndarray,
                  outcome: np.ndarray, outcome_name: str = "y"):
         schemas = tuple(schemas)
-        codes = np.ascontiguousarray(codes, dtype=np.int32)
+        codes = np.asfortranarray(codes, dtype=np.int32)
         outcome = np.asarray(outcome, dtype=np.int8)
         if codes.ndim != 2 or codes.shape[1] != len(schemas):
             raise DataError("codes must be an (N, M) array matching the schemas")
@@ -114,12 +116,12 @@ class DiscreteDataset:
             raise DataError("dataset must contain at least one record")
         if outcome.shape != (codes.shape[0],):
             raise DataError("outcome length must equal the number of records")
-        if not np.isin(outcome, (0, 1)).all():
+        if ((outcome != 0) & (outcome != 1)).any():
             raise DataError("outcome must be binary {0, 1}")
-        for m, schema in enumerate(schemas):
-            col = codes[:, m]
-            if col.min() < 0 or col.max() >= schema.cardinality:
-                raise DataError(f"feature {schema.name!r} has out-of-range codes")
+        cards = np.array([schema.cardinality for schema in schemas])
+        bad = np.flatnonzero((codes.min(axis=0) < 0) | (codes.max(axis=0) >= cards))
+        if bad.size:
+            raise DataError(f"feature {schemas[bad[0]].name!r} has out-of-range codes")
         codes.setflags(write=False)
         outcome.setflags(write=False)
         self.schemas = schemas
@@ -150,6 +152,12 @@ class DiscreteDataset:
         """Category label for a (feature, code) pair."""
         return self.schemas[feature].values[code]
 
+    def outcome_counts(self, feature: int) -> np.ndarray:
+        """(C, 2) count of records per (value, outcome 0/1) of a feature."""
+        c = self.schemas[feature].cardinality
+        keys = 2 * self.codes[:, feature] + self.outcome
+        return np.bincount(keys, minlength=2 * c).reshape(c, 2)
+
 
 def _encode_outcome(cells: np.ndarray, column: str) -> np.ndarray:
     """The outcome cells as 0/1; the mapping runs once per distinct cell."""
@@ -176,15 +184,19 @@ def _parse_numbers(cells: list[str]) -> np.ndarray | None:
 
 
 def _bin_labels(edges: np.ndarray) -> list[str]:
-    bounds = ["-inf"] + [format(e, "g") for e in edges] + ["inf"]
+    # the fewest significant digits, from 6, at which the edges print apart;
+    # distinct floats always differ at 17
+    for digits in range(6, 18):
+        printed = [format(e, f".{digits}g") for e in edges]
+        if len(set(printed)) == len(printed):
+            break
+    bounds = ["-inf"] + printed + ["inf"]
     return [f"({bounds[i]}, {bounds[i + 1]}]" for i in range(len(bounds) - 1)]
 
 
 def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
                     missing_label: str) -> tuple[list[str], np.ndarray]:
-    present = ~np.isnan(parsed)  # empty and nan cells are missing
-    values = parsed[present]
-    finite = values[np.isfinite(values)]  # -inf and inf join the edge bins
+    finite = parsed[np.isfinite(parsed)]  # -inf and inf join the edge bins
     if not finite.size:
         raise DataError(f"numeric column {name!r} has no finite value")
     # interior quantile edges; ties collapse, possibly down to a single bin
@@ -193,10 +205,13 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     # an edge at or above the max (or below the min) would leave a dead bin
     edges = edges[(edges >= finite.min()) & (edges < finite.max())]
     labels = _bin_labels(edges)
+    # a cell's bin is the number of edges below it; nan is below none
     codes = np.zeros(parsed.size, dtype=np.int32)
-    codes[present] = np.digitize(values, edges, right=True)
-    if not present.all():
-        codes[~present] = len(labels)
+    for edge in edges:
+        codes += parsed > edge
+    missing = np.isnan(parsed)  # empty and nan cells are missing
+    if missing.any():
+        codes[missing] = len(labels)
         labels.append(missing_label)
     return labels, codes
 
@@ -391,7 +406,7 @@ def _load_columns(fh, start: int, path, header: list[str], y_col: int,
             labels, codes = _encode_text(column, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))
         columns.append(codes)
-    return DiscreteDataset(schemas, np.column_stack(columns), outcome, header[y_col])
+    return DiscreteDataset(schemas, np.array(columns, dtype=np.int32).T, outcome, header[y_col])
 
 
 def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyTable:
@@ -401,10 +416,9 @@ def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyT
     if not 0 <= value < dataset.schemas[feature].cardinality:
         raise DataError(f"value code {value} out of range for feature "
                         f"{dataset.schemas[feature].name!r}")
-    in_stratum = dataset.codes[:, feature] == value
-    y = dataset.outcome.astype(np.int64)
-    return ContingencyTable(*table_cells(dataset.n_records, int(y.sum()),
-                                         int(in_stratum.sum()), int(y[in_stratum].sum())))
+    counts = dataset.outcome_counts(feature)
+    return ContingencyTable(*table_cells(dataset.n_records, int(counts[:, 1].sum()),
+                                         int(counts[value].sum()), int(counts[value, 1])))
 
 
 def _validate_constraints(constraints: Mapping[int, Iterable[int]],

@@ -79,10 +79,8 @@ def _yules_y_cells(cells: np.ndarray) -> np.ndarray:
 def yules_y_per_value(dataset: DiscreteDataset, feature: int) -> np.ndarray:
     """Yule's Y for every value of one feature (the table of
     ``stratify(dataset, feature, value)``)."""
-    codes = dataset.codes[:, feature]
-    c = dataset.schemas[feature].cardinality
-    joint = np.bincount(codes * 2 + dataset.outcome, minlength=2 * c).reshape(c, 2)
-    cells = table_cells(dataset.n_records, int(dataset.outcome.sum()),
+    joint = dataset.outcome_counts(feature)
+    cells = table_cells(dataset.n_records, int(joint[:, 1].sum()),
                         joint.sum(axis=1), joint[:, 1])
     return _yules_y_cells(np.array(cells, dtype=np.float64))
 
@@ -108,14 +106,11 @@ def safs_rank(dataset: DiscreteDataset) -> FeatureRanking:
 def mutual_information_rank(dataset: DiscreteDataset) -> FeatureRanking:
     """Rank features by empirical mutual information with the outcome
     (natural log)."""
-    n = dataset.n_records
-    y = dataset.outcome.astype(np.int64)
-    p_y = np.array([1.0 - y.mean(), y.mean()])
+    mu = dataset.outcome_mean
+    p_y = np.array([1.0 - mu, mu])
     scores = np.zeros(dataset.n_features)
     for m in range(dataset.n_features):
-        c = dataset.schemas[m].cardinality
-        joint = np.bincount(dataset.codes[:, m] * 2 + y, minlength=2 * c)
-        p_uy = joint.reshape(c, 2) / n
+        p_uy = dataset.outcome_counts(m) / dataset.n_records
         p_u = p_uy.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = p_uy * np.log(p_uy / (p_u[:, None] * p_y[None, :]))

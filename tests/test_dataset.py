@@ -20,8 +20,14 @@ from safs import (
     stratify,
     subgroup_mask,
 )
-from safs.dataset import DEFAULT_MISSING_LABEL, _encode_numeric, _encode_text, _keys
-from synth import make_dataset, random_dataset, write_csv
+from safs.dataset import (
+    DEFAULT_MISSING_LABEL,
+    _bin_labels,
+    _encode_numeric,
+    _encode_text,
+    _keys,
+)
+from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -111,6 +117,20 @@ class TestLoadCsv:
         codes = ds.codes[:, 0].tolist()
         assert codes[5] == codes[0] == 0  # -inf with the smallest finite value
         assert codes[3] == codes[4] == codes[2] == ds.schemas[0].cardinality - 1
+
+    @pytest.mark.parametrize("cells", [
+        [str(1700000000 + i) for i in range(100)],  # Unix seconds: 1.7e+09 at 6 digits
+        [f"{1 + i / 1e7:.7f}" for i in range(1, 11)],  # 1.0000001 ... 1.000001
+    ])
+    def test_close_bin_edges_print_apart(self, tmp_path, cells):
+        path = write(tmp_path, "x,y\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells)))
+        labels = load_csv(path, "y").schemas[0].values
+        assert len(labels) == len(set(labels)) == 5
+
+    def test_bin_labels_that_print_apart_keep_six_digits(self):
+        edges = np.array([-0.5, 1.25, 3e9, 1234567.0])
+        bounds = ["-inf"] + [format(e, "g") for e in edges] + ["inf"]
+        assert _bin_labels(edges) == [f"({a}, {b}]" for a, b in zip(bounds, bounds[1:])]
 
     def test_bin_count_checked_on_construction(self):
         for bad in (0, -1):
@@ -357,7 +377,34 @@ def text_columns(draw):
     return draw(st.lists(cell, min_size=1, max_size=40)), missing_label
 
 
+def digitize_codes(parsed, bins):
+    """Numeric codes by np.digitize over the loader's quantile edges, with
+    the missing code after the bins."""
+    finite = parsed[np.isfinite(parsed)]
+    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    edges = np.unique(np.quantile(finite, qs)) if qs.size else np.array([])
+    edges = edges[(edges >= finite.min()) & (edges < finite.max())]
+    codes = np.digitize(parsed, edges, right=True)
+    codes[np.isnan(parsed)] = edges.size + 1
+    return codes.tolist()
+
+
 class TestIngestProperties:
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.one_of(
+               st.sampled_from([0.0, 1.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan]),
+               st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+           bins=st.integers(1, 8))
+    def test_numeric_codes_match_digitize(self, cells, bins):
+        parsed = np.array(cells)
+        if not np.isfinite(parsed).any():
+            with pytest.raises(DataError, match="no finite value"):
+                _encode_numeric("x", parsed, bins, DEFAULT_MISSING_LABEL)
+            return
+        labels, codes = _encode_numeric("x", parsed, bins, DEFAULT_MISSING_LABEL)
+        assert codes.tolist() == digitize_codes(parsed, bins)
+        assert (labels[-1] == DEFAULT_MISSING_LABEL) == bool(np.isnan(parsed).any())
 
     @settings(max_examples=300, deadline=None)
     @given(column=text_columns())
@@ -458,6 +505,35 @@ class TestStratify:
             stratify(ds, 0, ds.schemas[0].cardinality)
 
 
+def mask_counts(dataset, feature):
+    """Records of each (value, outcome) pair of a feature, by boolean masks."""
+    column, y = dataset.codes[:, feature], dataset.outcome
+    return [[int(((column == v) & (y == o)).sum()) for o in (0, 1)]
+            for v in range(dataset.schemas[feature].cardinality)]
+
+
+class TestOutcomeCounts:
+
+    @pytest.mark.parametrize("dataset", [
+        random_dataset(3), noise_dataset(4), planted_dataset(5, n=500)[0],
+        make_dataset([4, 1], [[1, 0], [1, 0], [3, 0]], [1, 0, 1]),  # values 0 and 2 unused
+    ])
+    def test_matches_mask_counts(self, dataset):
+        for m in range(dataset.n_features):
+            assert dataset.outcome_counts(m).tolist() == mask_counts(dataset, m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_mask_counts_on_drawn_data(self, data):
+        n = data.draw(st.integers(1, 30))
+        cards = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        codes = [[data.draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        ds = make_dataset(cards, np.array(codes).reshape(n, len(cards)), y)
+        for m in range(ds.n_features):
+            assert ds.outcome_counts(m).tolist() == mask_counts(ds, m)
+
+
 class TestSubgroupMask:
 
     def test_empty_descriptor_matches_all(self):
@@ -509,17 +585,28 @@ def test_dataset_immutable():
         ds.outcome[0] = 0
 
 
+def test_codes_are_column_major_and_read_only(tmp_path):
+    c_ordered = np.ascontiguousarray(random_dataset(6).codes)
+    assert not c_ordered.flags.f_contiguous
+    path = write(tmp_path, "x,c,y\n1.5,A,1\n2.5,B,0\n3.5,A,0\n")
+    for ds in (make_dataset([3] * 4, c_ordered, [0, 1] * 100), load_csv(path, "y")):
+        assert ds.codes.flags.f_contiguous and not ds.codes.flags.writeable
+        assert all(ds.codes[:, m].flags.c_contiguous for m in range(ds.n_features))
+
+
 @pytest.mark.parametrize("codes, outcome, message", [
     (np.zeros(3), [0, 1, 0], "matching the schemas"),
     (np.zeros((3, 2)), [0, 1, 0], "matching the schemas"),
-    (np.zeros((0, 1)), [], "at least one record"),
-    (np.zeros((3, 1)), [0, 1], "outcome length"),
-    (np.zeros((3, 1)), [0, 1, 2], "binary"),
-    ([[0], [2], [1]], [0, 1, 0], "out-of-range codes"),
-    ([[0], [-1], [1]], [0, 1, 0], "out-of-range codes"),
+    (np.zeros((0, 3)), [], "at least one record"),
+    (np.zeros((3, 3)), [0, 1], "outcome length"),
+    (np.zeros((3, 3)), [0, 1, 2], "binary"),
+    ([[0, 0, 0], [2, 0, 0], [1, 0, 0]], [0, 1, 0], "out-of-range codes"),
+    ([[0, 0, 0], [-1, 0, 0], [1, 0, 0]], [0, 1, 0], "out-of-range codes"),
+    ([[0, 0, 0], [0, 2, 0], [0, 0, -1]], [0, 1, 0], "feature 'g' has out-of-range codes"),
+    ([[0, 0, 5], [0, 0, 0], [1, 1, 1]], [0, 1, 0], "feature 'h' has out-of-range codes"),
 ])
 def test_dataset_validation(codes, outcome, message):
-    schemas = [FeatureSchema("f", ("a", "b"))]
+    schemas = [FeatureSchema(name, ("a", "b")) for name in "fgh"]
     with pytest.raises(DataError, match=message):
         DiscreteDataset(schemas, codes, outcome)
 
