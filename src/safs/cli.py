@@ -91,7 +91,14 @@ class _ScanRun:
         }
 
     def volatile(self) -> dict:
-        return {"rank_ms": self.rank_seconds * 1000, "scan_ms": self.result.elapsed * 1000}
+        return {"rank_ms": self.rank_seconds * 1000, "scan_ms": self.result.elapsed * 1000,
+                **_search_limits(self.result)}
+
+
+def _search_limits(result: ScanResult) -> dict:
+    """How often the scan's search hit a limit (see ``ScanResult``)."""
+    return {"fallback_starts": result.fallback_starts,
+            "truncated_ascents": result.truncated_ascents}
 
 
 def _scan_run(k: int | None, restarts: int, direction: str, seed: int,
@@ -319,7 +326,8 @@ def sweep_command(k_spec, permutations, restarts, direction, seed, out, **load):
             "p_value": report.p_value,
             "jaccard_vs_full": entry.jaccard_vs_full,
         }
-        doc = _document("sweep-entry", payload, {"scan_seconds": entry.result.elapsed})
+        doc = _document("sweep-entry", payload, {"scan_seconds": entry.result.elapsed,
+                                                 **_search_limits(entry.result)})
         lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
     _emit("".join(lines), out)
 

@@ -108,8 +108,9 @@ class DiscreteDataset:
     def __init__(self, schemas: Sequence[FeatureSchema], codes: np.ndarray,
                  outcome: np.ndarray, outcome_name: str = "y"):
         schemas = tuple(schemas)
-        codes = np.asfortranarray(codes, dtype=np.int32)
-        outcome = np.asarray(outcome, dtype=np.int8)
+        # private copies: freezing them below must not freeze the caller's arrays
+        codes = np.array(codes, dtype=np.int32, order="F")
+        outcome = np.array(outcome, dtype=np.int8)
         if codes.ndim != 2 or codes.shape[1] != len(schemas):
             raise DataError("codes must be an (N, M) array matching the schemas")
         if codes.shape[0] < 1:
@@ -406,6 +407,9 @@ def _load_columns(fh, start: int, path, header: list[str], y_col: int,
             labels, codes = _encode_text(column, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))
         columns.append(codes)
+    # the dataset copies its codes: free the parsed cells first, so that the
+    # copy does not raise the load's peak memory
+    del records, column
     return DiscreteDataset(schemas, np.array(columns, dtype=np.int32).T, outcome, header[y_col])
 
 

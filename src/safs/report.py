@@ -61,7 +61,12 @@ def empirical_p_value(dataset: DiscreteDataset, features: Sequence[int],
     Each replicate permutes the outcome labels (seeded independently of the
     scan's restart stream) and reruns the scan with the identical config;
     p = (1 + #{score >= observed}) / (permutations + 1). Replicates run
-    serially in the calling process.
+    serially in the calling process, on one scan kernel. What does not
+    depend on the labels is done once for all of them: the restart starts
+    and the per-pass feature orders (a start descriptor and at most 50
+    orders of the K features per restart), and the score of each
+    (records, positives) pair, memoized by its counts at about 170 bytes
+    per pair. A replicate only relabels the kernel and climbs.
     """
     if permutations < 1:
         raise DataError("permutations must be >= 1")

@@ -594,6 +594,15 @@ def test_codes_are_column_major_and_read_only(tmp_path):
         assert all(ds.codes[:, m].flags.c_contiguous for m in range(ds.n_features))
 
 
+def test_callers_arrays_stay_writable():
+    # already F-contiguous int32 and int8: the dtypes a copy-if-needed skips
+    codes, outcome = np.zeros((3, 1), np.int32), np.array([0, 1, 0], np.int8)
+    ds = DiscreteDataset([FeatureSchema("f", ("a", "b"))], codes, outcome)
+    codes[0, 0], outcome[0] = 1, 1
+    assert ds.codes[:, 0].tolist() == [0, 0, 0] and ds.outcome.tolist() == [0, 1, 0]
+    assert not ds.codes.flags.writeable and not ds.outcome.flags.writeable
+
+
 @pytest.mark.parametrize("codes, outcome, message", [
     (np.zeros(3), [0, 1, 0], "matching the schemas"),
     (np.zeros((3, 2)), [0, 1, 0], "matching the schemas"),

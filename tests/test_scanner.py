@@ -24,9 +24,10 @@ from safs import (
 )
 from safs.dataset import constraints_bool_mask
 from safs.report import _PERMUTE_KEY
+from safs import scanner
 from safs.scanner import (_BITS_MAX_CARD, _MAX_PASSES, _ascend, _best_of_restarts,
-                           _random_descriptor, _relabelled_scores, _ScanKernel,
-                           _score_counts)
+                           _random_descriptor, _relabelled_scores, _Restart,
+                           _restart_plan, _ScanKernel, _score_counts)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -255,7 +256,8 @@ class TestScan:
             scores = []
             for r in (1, 2, 3):
                 config = ScanConfig(direction=direction, restarts=r)
-                score, descriptor = _best_of_restarts(kernel, config)
+                score, descriptor, _, _ = _best_of_restarts(kernel,
+                                                            _restart_plan(kernel, config))
                 assert score == score_subgroup(ds, descriptor, direction)[0]
                 scores.append(score)
             assert scores == sorted(scores)
@@ -503,7 +505,8 @@ class TestAscent:
             assume(score is not None)
             assert every.load(start) == score
             rng_skipping, rng_every = (np.random.default_rng(child) for _ in range(2))
-            assert (_ascend(skipping, score, rng_skipping)
+            skipped_score, _ = _ascend(skipping, _Restart(start, rng_skipping))
+            assert ((SubgroupDescriptor(skipping.constraints), skipped_score)
                     == every_step_ascent(every, score, feats, rng_every))
             # the same passes: the same draws
             assert rng_skipping.random() == rng_every.random()
@@ -559,6 +562,113 @@ class TestRelabelledScores:
         exceed = sum(1 for s in expected if s >= observed)
         assert empirical_p_value(ds, feats, config, observed, permutations) == \
             (1 + exceed) / (permutations + 1)
+
+
+def reference_scan(dataset, features, config):
+    """(score, descriptor) of the restart loop without a plan or a memo: a
+    generator per restart, up to 100 random starts before the unconstrained
+    fallback, a fresh ``rng.permutation`` per pass, and every step and score
+    recomputed from the records by ``reference_step`` and ``score_subgroup``."""
+    cards = {f: dataset.schemas[f].cardinality for f in features}
+    found = []
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(child)
+        descriptor = SubgroupDescriptor()
+        if r > 0:
+            for _ in range(100):
+                drawn = _random_descriptor(cards, rng)
+                if constraints_bool_mask(dataset, drawn.constraints).any():
+                    descriptor = drawn
+                    break
+        score = score_subgroup(dataset, descriptor, config.direction)[0]
+        for _ in range(_MAX_PASSES):
+            start = score
+            for f in rng.permutation(np.asarray(features)).tolist():
+                values = reference_step(dataset, descriptor, f, config.direction)
+                descriptor = descriptor.replace(f, values)
+                score = score_subgroup(dataset, descriptor, config.direction)[0]
+            if score <= start:
+                break
+        found.append((score, descriptor))
+    return min(found, key=lambda d: (-d[0], d[1].sort_key()))
+
+
+@st.composite
+def plan_cases(draw):
+    """A dataset, a direction and 1-5 restarts; on 2-4 records over 12-24
+    binary features most random starts match no record and fall back."""
+    seed = draw(st.integers(0, 2**16))
+    make = draw(st.sampled_from([
+        lambda: planted_dataset(seed, n=200, n_noise=3)[0],
+        lambda: random_dataset(seed, n=120, max_card=_BITS_MAX_CARD + 4),
+        lambda: noise_dataset(seed, n=60),
+        lambda: random_dataset(seed, n=draw(st.integers(2, 4)),
+                               n_features=draw(st.integers(12, 24)), max_card=2),
+    ]))
+    config = ScanConfig(direction=draw(st.sampled_from([OVER, UNDER])),
+                        restarts=draw(st.integers(1, 5)), seed=seed)
+    return make(), config
+
+
+class TestRestartPlan:
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=plan_cases(), permutations=st.integers(1, 3))
+    def test_plan_and_memo_match_the_per_restart_loop(self, case, permutations):
+        ds, config = case
+        feats = list(range(ds.n_features))
+        got = scan(ds, feats, config)
+        assert (got.score, got.descriptor) == reference_scan(ds, feats, config)
+        seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)
+        orders = [np.random.default_rng(s).permutation(ds.n_records) for s in seeds]
+        expected = [reference_scan(DiscreteDataset(ds.schemas, ds.codes, ds.outcome[order],
+                                                   ds.outcome_name), feats, config)[0]
+                    for order in orders]
+        assert _relabelled_scores(ds, feats, config, orders) == expected
+
+    def test_memo_is_shared_by_replicates(self):
+        ds = planted_dataset(0, n=500, n_noise=3)[0]
+        kernel = _ScanKernel(ds, list(range(ds.n_features)), OVER)
+        plan = _restart_plan(kernel, ScanConfig(restarts=3))
+        for restart in plan:
+            _ascend(kernel, restart)
+        entries, passes = len(kernel.scores), [len(r.orders) for r in plan]
+        assert entries > 0
+        # the same labels again: every prefix score and pass order is reused
+        for restart in plan:
+            _ascend(kernel, restart)
+        assert (len(kernel.scores), [len(r.orders) for r in plan]) == (entries, passes)
+
+    def test_relabelling_must_keep_the_positives(self):
+        ds = planted_dataset(0, n=200, n_noise=1)[0]
+        kernel = _ScanKernel(ds, [0, 1], OVER)
+        kernel.relabel(ds.outcome[::-1])
+        with pytest.raises(DataError, match="positive"):
+            kernel.relabel(1 - ds.outcome)
+
+
+class TestSearchLimits:
+
+    def test_fallback_starts_are_counted(self):
+        # a random start over 30 binary features matches one of 2 records
+        # with probability 2 * (2/3)^30: every random restart falls back
+        ds = random_dataset(0, n=2, n_features=30, max_card=2)
+        result = scan(ds, list(range(30)), ScanConfig(restarts=4))
+        assert (result.fallback_starts, result.truncated_ascents) == (3, 0)
+        planted = planted_dataset(0, n=500, n_noise=3)[0]
+        result = scan(planted, [0, 1, 2, 3], ScanConfig(restarts=4))
+        assert (result.fallback_starts, result.truncated_ascents) == (0, 0)
+
+    def test_truncated_ascents_are_counted(self, monkeypatch):
+        ds = planted_dataset(0, n=500, n_noise=3)[0]
+        config = ScanConfig(restarts=4)
+        full = scan(ds, [0, 1, 2, 3], config)
+        monkeypatch.setattr(scanner, "_MAX_PASSES", 1)
+        # from the unconstrained start the first pass always improves here
+        cut = scan(ds, [0, 1, 2, 3], config)
+        assert 1 <= cut.truncated_ascents <= 4
+        assert full.truncated_ascents == 0
+        assert brute_force_scan(ds, [0, 1, 2], OVER).truncated_ascents == 0
 
 
 # global rates mu = positives / N that a dataset of N records can have
