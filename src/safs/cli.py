@@ -21,7 +21,7 @@ from .errors import DataError, SafsError
 from .evaluation import overlap_matrix, sweep_k
 from .ranking import (METHOD_MI, METHOD_SAFS, FeatureRanking,
                       mutual_information_rank, safs_rank, top_k)
-from .report import build_report, empirical_p_value, report_text
+from .report import SubgroupReport, build_report, empirical_p_value, report_text
 from .scanner import ScanConfig, ScanResult, scan
 
 SCHEMA = "safs/1"
@@ -99,6 +99,22 @@ def _search_limits(result: ScanResult) -> dict:
     """How often the scan's search hit a limit (see ``ScanResult``)."""
     return {"fallback_starts": result.fallback_starts,
             "truncated_ascents": result.truncated_ascents}
+
+
+def _subgroup_fields(report: SubgroupReport, dataset: DiscreteDataset) -> dict:
+    """The payload fields of a reported subgroup, shared by ``pipeline`` and
+    ``sweep-entry``."""
+    return {
+        "descriptor": report.descriptor.to_labels(dataset),
+        "score": report.score,
+        "subset_size": report.subset_size,
+        "subset_pct": report.subset_pct,
+        "n_features": report.n_features,
+        "n_values": report.n_values,
+        "odds_ratio": report.odds_ratio,
+        "ci": [report.ci_low, report.ci_high],
+        "p_value": report.p_value,
+    }
 
 
 def _scan_run(k: int | None, restarts: int, direction: str, seed: int,
@@ -241,18 +257,8 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     p_value = empirical_p_value(run.dataset, run.features, run.config,
                                 run.result.score, permutations)
     report = build_report(run.dataset, run.result, p_value)
-    payload = run.payload()
-    payload.update({
-        "kind": "pipeline",
-        "n_features": report.n_features,
-        "n_values": report.n_values,
-        "subset_pct": report.subset_pct,
-        "odds_ratio": report.odds_ratio,
-        "ci": [report.ci_low, report.ci_high],
-        "p_value": report.p_value,
-        "permutations": permutations,
-        "no_divergence": report.no_divergence,
-    })
+    payload = {**run.payload(), **_subgroup_fields(report, run.dataset), "kind": "pipeline",
+               "permutations": permutations, "no_divergence": report.no_divergence}
     doc = _document("pipeline", payload, run.volatile())
     _emit(report_text(report, run.dataset) + "\n" if fmt == "text" else canonical_json(doc),
           out)
@@ -310,22 +316,9 @@ def sweep_command(k_spec, permutations, restarts, direction, seed, out, **load):
     entries = sweep_k(dataset, ranking, k_values, config, permutations)
     lines = []
     for entry in entries:
-        report = entry.report
-        payload = {
-            "kind": "sweep-entry",
-            "method": ranking.method,
-            "k": entry.k,
-            "descriptor": entry.result.descriptor.to_labels(dataset),
-            "score": entry.result.score,
-            "subset_size": report.subset_size,
-            "subset_pct": report.subset_pct,
-            "n_features": report.n_features,
-            "n_values": report.n_values,
-            "odds_ratio": report.odds_ratio,
-            "ci": [report.ci_low, report.ci_high],
-            "p_value": report.p_value,
-            "jaccard_vs_full": entry.jaccard_vs_full,
-        }
+        payload = {**_subgroup_fields(entry.report, dataset), "kind": "sweep-entry",
+                   "method": ranking.method, "k": entry.k,
+                   "jaccard_vs_full": entry.jaccard_vs_full}
         doc = _document("sweep-entry", payload, {"scan_seconds": entry.result.elapsed,
                                                  **_search_limits(entry.result)})
         lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")

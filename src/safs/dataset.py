@@ -140,8 +140,14 @@ class DiscreteDataset:
 
     @property
     def outcome_mean(self) -> float:
-        """Global outcome rate mu_g."""
-        return float(self.outcome.mean())
+        """Global outcome rate mu_g. A constant outcome raises ``DataError``:
+        no feature is associated with it and no subgroup diverges from it,
+        so neither ranking nor scanning has anything to find."""
+        mu = float(self.outcome.mean())
+        if not 0 < mu < 1:
+            raise DataError("outcome is degenerate (all 0 or all 1); "
+                            "nothing to rank or scan for")
+        return mu
 
     def feature_index(self, name: str) -> int:
         for m, schema in enumerate(self.schemas):

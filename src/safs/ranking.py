@@ -94,7 +94,9 @@ def safs_rank(dataset: DiscreteDataset) -> FeatureRanking:
     """Rank features by the Gini sparsity of their per-value |Yule's Y|.
 
     Single-valued features get score 0 (their complement stratum is empty).
+    A constant outcome raises ``DataError`` (see ``outcome_mean``).
     """
+    dataset.outcome_mean  # raises DataError on a constant outcome
     scores = np.zeros(dataset.n_features)
     for m in range(dataset.n_features):
         if dataset.schemas[m].cardinality == 1:
@@ -105,7 +107,7 @@ def safs_rank(dataset: DiscreteDataset) -> FeatureRanking:
 
 def mutual_information_rank(dataset: DiscreteDataset) -> FeatureRanking:
     """Rank features by empirical mutual information with the outcome
-    (natural log)."""
+    (natural log). A constant outcome raises ``DataError``."""
     mu = dataset.outcome_mean
     p_y = np.array([1.0 - mu, mu])
     scores = np.zeros(dataset.n_features)

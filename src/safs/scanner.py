@@ -50,10 +50,17 @@ _BRUTE_FORCE_GUARD = 10_000_000
 # cap on coordinate-ascent passes per restart
 _MAX_PASSES = 50
 # a step counts a feature with at most this many categories by bit_count
-# and a wider one by bincount. Per step, bit counting won at C <= 12 and
-# bincount at C >= 16 for N from 5k to 10^6, ties at C = 14 (at N = 10^6:
-# 3.7 ms against 5.2 ms at C = 12, 6.1 ms against 4.9 ms at C = 16; a
-# 2-vCPU Xeon, Python 3.11, numpy 2.4).
+# and a wider one by bincount. Both counts are exact, so no answer depends
+# on it. Per step (median of alternating calls, the other constraints
+# admitting half the records; a 2-vCPU Xeon, Python 3.11, numpy 2.4),
+# bincount wins the count alone from C = 14 at N = 20k, C = 16 at 200k and
+# C = 20 at 10^6 (bits against bincount there: 3.8 against 3.2 ms, and
+# 2.1 against 3.0 ms at C = 12). But bincount's route also rebuilds a
+# changed constraint's mask by repeat/take/packbits, 0.02 ms at N = 5k and
+# 1.2-1.7 ms at N = 10^6, where ORing value masks takes at most 0.17 ms.
+# Count plus rebuild, bits win at C = 16 for N from 5k to 10^6 (3.0
+# against 4.2 ms at N = 10^6), tie near C = 20, and lose at C = 30 from
+# N = 20k (5.7 against 4.4 ms at N = 10^6).
 _BITS_MAX_CARD = 12
 
 
@@ -193,18 +200,11 @@ def _score_counts(n_s: int, sum_y: int, mu: float, direction: str) -> tuple[floa
     return (0.0 if abs(score) < n_s * _NOISE_PER_RECORD else score), q
 
 
-def _checked_mu(dataset: DiscreteDataset) -> float:
-    mu = dataset.outcome_mean
-    if not 0 < mu < 1:
-        raise DataError("outcome is degenerate (all 0 or all 1); nothing to scan for")
-    return mu
-
-
 def score_subgroup(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
                    direction: str = OVER) -> tuple[float, float]:
     """Likelihood-ratio score and clamped q_hat for one subgroup."""
     _check_direction(direction)
-    mu = _checked_mu(dataset)
+    mu = dataset.outcome_mean
     mask = constraints_bool_mask(dataset, descriptor.constraints)
     n_s = int(np.count_nonzero(mask))
     if n_s == 0:
@@ -228,7 +228,7 @@ class _ScanKernel:
     def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
         _check_direction(direction)
         self.features = _validate_features(dataset, features)
-        self.mu = _checked_mu(dataset)
+        self.mu = dataset.outcome_mean
         self.direction = direction
         self.n = dataset.n_records
         self.all_bits = (1 << self.n) - 1
@@ -544,7 +544,7 @@ def brute_force_scan(dataset: DiscreteDataset, features: Sequence[int],
     """
     _check_direction(direction)
     feats = _validate_features(dataset, features)
-    mu = _checked_mu(dataset)
+    mu = dataset.outcome_mean
     space = 1
     for f in feats:
         space *= (1 << dataset.schemas[f].cardinality) - 1

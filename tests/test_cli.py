@@ -8,7 +8,7 @@ import pytest
 
 import safs
 from safs.cli import canonical_json, main
-from synth import noise_dataset, planted_dataset, random_dataset, write_csv
+from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
 
 @pytest.fixture
@@ -31,6 +31,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(argv):
+    """Stdout of ``python -m safs.cli`` with ``argv``, in a new process."""
+    env = dict(os.environ)
+    src = str(Path(safs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "safs.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 class TestRankCommand:
@@ -179,13 +188,8 @@ class TestPipelineCommand:
             code, out = run(capsys, argv)
             assert code == 0
             blocks.append(payload_block(out))
-        env = dict(os.environ)
-        src = str(Path(safs.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for _ in range(2):
-            done = subprocess.run([sys.executable, "-m", "safs.cli", *argv], env=env,
-                                  capture_output=True, text=True, check=True)
-            blocks.append(payload_block(done.stdout))
+            blocks.append(payload_block(run_module(argv)))
         for threads in ("1", "4"):
             code, out = run(capsys, argv + ["--threads", threads])
             assert code == 0
@@ -263,6 +267,26 @@ class TestSweepCommand:
         assert docs[-1]["payload"]["jaccard_vs_full"] == 1.0
         assert all(d["volatile"]["scan_seconds"] > 0 for d in docs)
 
+    def test_payload_is_deterministic_across_processes(self, tmp_path, capsys):
+        ds = random_dataset(7, n=300, n_features=5)
+        path = tmp_path / "random.csv"
+        write_csv(path, ds)
+        argv = ["sweep", "--input", str(path), "--outcome-col", "y",
+                "--restarts", "3", "--k", "2,3,5", "--permutations", "9"]
+
+        def payload_lines(out):
+            return [canonical_json(json.loads(line)["payload"]) for line in out.splitlines()]
+
+        runs = []
+        for _ in range(2):
+            code, out = run(capsys, argv)
+            assert code == 0
+            runs.append(payload_lines(out))
+        runs.append(payload_lines(run_module(argv)))
+        assert len(runs[0]) == 3
+        assert all(lines == runs[0] for lines in runs)
+        assert all(json.loads(line)["p_value"] is not None for line in runs[0])
+
     def test_bad_k_spec(self, capsys, planted_csv):
         path, _ = planted_csv
         code, _ = run(capsys, ["sweep", "--input", path, "--outcome-col", "y",
@@ -314,6 +338,18 @@ class TestExitCodes:
         code, _ = run(capsys, ["rank", "--input", "/no/such/file.csv",
                                "--outcome-col", "y"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["rank"], ["rank", "--method", "mi"], ["scan"],
+                                         ["pipeline", "--permutations", "2"],
+                                         ["sweep", "--k", "1"]])
+    def test_constant_outcome(self, capsys, tmp_path, command):
+        path = tmp_path / "positive.csv"
+        ds = random_dataset(2, n=500, n_features=4, max_card=8)
+        write_csv(path, make_dataset([s.cardinality for s in ds.schemas], ds.codes,
+                                     [1] * ds.n_records))
+        code = main([*command, "--input", str(path), "--outcome-col", "y"])
+        assert code == 2
+        assert "outcome is degenerate" in capsys.readouterr().err
 
     def test_success(self, capsys, random_csv):
         path, _ = random_csv

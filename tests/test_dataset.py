@@ -603,6 +603,20 @@ def test_callers_arrays_stay_writable():
     assert not ds.codes.flags.writeable and not ds.outcome.flags.writeable
 
 
+def test_feature_index():
+    ds = make_dataset([2, 3, 2], [[0, 1, 0], [1, 2, 1]], [1, 0], names=["sex", "age", "é"])
+    assert [ds.feature_index(name) for name in ("sex", "age", "é")] == [0, 1, 2]
+    with pytest.raises(DataError, match="unknown feature 'Sex'"):
+        ds.feature_index("Sex")
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_constant_outcome_has_no_rate(label):
+    ds = make_dataset([2], [[0], [1], [0]], [label] * 3)
+    with pytest.raises(DataError, match="degenerate"):
+        ds.outcome_mean
+
+
 @pytest.mark.parametrize("codes, outcome, message", [
     (np.zeros(3), [0, 1, 0], "matching the schemas"),
     (np.zeros((3, 2)), [0, 1, 0], "matching the schemas"),

@@ -23,11 +23,20 @@ from synth import noise_dataset, planted_dataset, random_dataset
 
 GOLDEN = Path(__file__).with_name("golden_scans.json")
 
+
+def weak_plant():
+    """A faint plant in 400 records, whose p-values lie off both the add-one
+    floor and 1, so that they move if the permutation layer changes."""
+    return planted_dataset(2, n=400, n_noise=3, inside_rate=0.35, background=0.25)[0]
+
+
 # name -> (dataset factory, direction, top-k (None: scan every feature),
 #          permutations (0: no p-value))
 CORPUS = {
     "planted-scan-over": (lambda: planted_dataset(1, n=3000, n_noise=4)[0], OVER, None, 0),
     "planted-pipeline-over": (lambda: planted_dataset(2, n=2000)[0], OVER, 6, 19),
+    "planted-weak-pipeline-over": (weak_plant, OVER, None, 19),
+    "planted-weak-pipeline-under": (weak_plant, UNDER, None, 19),
     "random-c20-scan-over": (lambda: random_dataset(3, n=1500, n_features=5, max_card=20),
                              OVER, None, 0),
     "random-c20-scan-under": (lambda: random_dataset(4, n=1500, n_features=5, max_card=20),

@@ -244,6 +244,18 @@ class TestMutualInformation:
             assert all(s >= -1e-15 for _, s in mutual_information_rank(ds).entries)
 
 
+@pytest.mark.parametrize("ranker", [safs_rank, mutual_information_rank])
+@pytest.mark.parametrize("label", [0, 1])
+def test_constant_outcome_is_a_data_error(ranker, label):
+    # with every record alike, safs_rank's scores would come only from the
+    # zero-cell correction, and mutual information would be 0 for every feature
+    rng = np.random.default_rng(0)
+    cards = [2, 3, 5, 8]
+    codes = np.column_stack([rng.integers(0, c, 500) for c in cards])
+    with pytest.raises(DataError, match="degenerate"):
+        ranker(make_dataset(cards, codes, [label] * 500))
+
+
 class TestTopK:
 
     def test_full_and_head(self):
