@@ -104,13 +104,14 @@ def _search_limits(result: ScanResult) -> dict:
 def _subgroup_fields(report: SubgroupReport, dataset: DiscreteDataset) -> dict:
     """The payload fields of a reported subgroup, shared by ``pipeline`` and
     ``sweep-entry``."""
+    result = report.result
     return {
-        "descriptor": report.descriptor.to_labels(dataset),
-        "score": report.score,
-        "subset_size": report.subset_size,
+        "descriptor": result.descriptor.to_labels(dataset),
+        "score": result.score,
+        "subset_size": result.subset_size,
         "subset_pct": report.subset_pct,
-        "n_features": report.n_features,
-        "n_values": report.n_values,
+        "n_features": result.descriptor.n_features,
+        "n_values": result.descriptor.n_values,
         "odds_ratio": report.odds_ratio,
         "ci": [report.ci_low, report.ci_high],
         "p_value": report.p_value,
@@ -142,9 +143,10 @@ def _ranking_payload(dataset, ranking: FeatureRanking, selected: list[int] | Non
     return payload
 
 
-def _ranking_text(payload: dict) -> str:
-    width = max(len(e["feature"]) for e in payload["entries"])
-    lines = [f"{e['feature']:<{width}}  {e['score']:.6f}" for e in payload["entries"]]
+def _ranking_text(payload: dict, k: int | None) -> str:
+    entries = payload["entries"][:k]
+    width = max(len(e["feature"]) for e in entries)
+    lines = [f"{e['feature']:<{width}}  {e['score']:.6f}" for e in entries]
     return "\n".join(lines) + "\n"
 
 
@@ -224,7 +226,7 @@ def rank_command(out, fmt, **kw):
     selected = top_k(ranking, k) if k is not None else None
     payload = _ranking_payload(dataset, ranking, selected)
     doc = _document("ranking", payload, {"elapsed_ms": elapsed * 1000})
-    _emit(_ranking_text(payload) if fmt == "text" else canonical_json(doc), out)
+    _emit(_ranking_text(payload, k) if fmt == "text" else canonical_json(doc), out)
 
 
 @cli.command("scan")
@@ -258,7 +260,7 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
                                 run.result.score, permutations)
     report = build_report(run.dataset, run.result, p_value)
     payload = {**run.payload(), **_subgroup_fields(report, run.dataset), "kind": "pipeline",
-               "permutations": permutations, "no_divergence": report.no_divergence}
+               "permutations": permutations, "no_divergence": run.result.no_divergence}
     doc = _document("pipeline", payload, run.volatile())
     _emit(report_text(report, run.dataset) + "\n" if fmt == "text" else canonical_json(doc),
           out)
@@ -319,8 +321,8 @@ def sweep_command(k_spec, permutations, restarts, direction, seed, out, **load):
         payload = {**_subgroup_fields(entry.report, dataset), "kind": "sweep-entry",
                    "method": ranking.method, "k": entry.k,
                    "jaccard_vs_full": entry.jaccard_vs_full}
-        doc = _document("sweep-entry", payload, {"scan_seconds": entry.result.elapsed,
-                                                 **_search_limits(entry.result)})
+        doc = _document("sweep-entry", payload, {"scan_seconds": entry.report.result.elapsed,
+                                                 **_search_limits(entry.report.result)})
         lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
     _emit("".join(lines), out)
 

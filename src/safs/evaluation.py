@@ -12,7 +12,7 @@ from .dataset import DiscreteDataset
 from .errors import DataError
 from .ranking import FeatureRanking, top_k
 from .report import SubgroupReport, build_report, empirical_p_value
-from .scanner import ScanConfig, ScanResult, scan
+from .scanner import ScanConfig, scan
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,10 @@ class RankOverlapMatrix:
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """One K of a sweep: the report of the top-K scan (``report.result``) and
+    the Jaccard similarity of its matched records with the all-feature scan's."""
+
     k: int
-    result: ScanResult
     report: SubgroupReport
     jaccard_vs_full: float
 
@@ -108,7 +110,6 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
                                         result.score, permutations)
         entries.append(SweepEntry(
             k=k,
-            result=result,
             report=build_report(dataset, result, p_value),
             jaccard_vs_full=jaccard(result.matched.tolist(), full_set),
         ))

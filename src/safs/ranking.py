@@ -94,6 +94,9 @@ def safs_rank(dataset: DiscreteDataset) -> FeatureRanking:
     """Rank features by the Gini sparsity of their per-value |Yule's Y|.
 
     Single-valued features get score 0 (their complement stratum is empty).
+    So does every binary feature: value 1's 2x2 table is value 0's with the
+    rows swapped, so Y(1) = -Y(0) exactly; binary features tie at 0, in
+    ascending column order.
     A constant outcome raises ``DataError`` (see ``outcome_mean``).
     """
     dataset.outcome_mean  # raises DataError on a constant outcome

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import ContingencyTable, DiscreteDataset, table_cells
 from .errors import DataError
-from .scanner import ScanConfig, ScanResult, SubgroupDescriptor, _relabelled_scores
+from .scanner import ScanConfig, ScanResult, _relabelled_scores
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -21,20 +21,16 @@ _PERMUTE_KEY = 0x70657200
 
 @dataclass(frozen=True)
 class SubgroupReport:
-    """Table-style summary of one discovered subgroup."""
+    """Summary of one discovered subgroup: its scan result, plus what the
+    report computes: the share of records in whole percent, the odds ratio
+    with its Woolf 95% CI, and the permutation p-value (None if not run)."""
 
-    descriptor: SubgroupDescriptor
-    n_features: int
-    n_values: int
-    subset_size: int
+    result: ScanResult
     subset_pct: int
     odds_ratio: float
     ci_low: float
     ci_high: float
     p_value: float | None
-    score: float
-    elapsed: float
-    no_divergence: bool = False
 
 
 def odds_ratio_ci(table: ContingencyTable) -> tuple[float, float, float]:
@@ -81,8 +77,8 @@ def empirical_p_value(dataset: DiscreteDataset, features: Sequence[int],
 
 def build_report(dataset: DiscreteDataset, scan_result: ScanResult,
                  p_value: float | None = None) -> SubgroupReport:
-    """Assemble the per-subgroup report (feature/value counts, subset size and
-    percentage, odds ratio with CI, p-value, score, elapsed time)."""
+    """Assemble the per-subgroup report (subset percentage, odds ratio with
+    CI, p-value) around the scan result."""
     n = dataset.n_records
     n_s = scan_result.subset_size
     if n_s == n:
@@ -91,40 +87,28 @@ def build_report(dataset: DiscreteDataset, scan_result: ScanResult,
     else:
         ratio, lo, hi = odds_ratio_ci(ContingencyTable(*table_cells(
             n, int(dataset.outcome.sum()), n_s, scan_result.subset_outcome_sum)))
-    descriptor = scan_result.descriptor
-    return SubgroupReport(
-        descriptor=descriptor,
-        n_features=descriptor.n_features,
-        n_values=descriptor.n_values,
-        subset_size=n_s,
-        subset_pct=round(100 * n_s / n),
-        odds_ratio=ratio,
-        ci_low=lo,
-        ci_high=hi,
-        p_value=p_value,
-        score=scan_result.score,
-        elapsed=scan_result.elapsed,
-        no_divergence=descriptor.n_features == 0 or scan_result.score == 0.0,
-    )
+    return SubgroupReport(result=scan_result, subset_pct=round(100 * n_s / n),
+                          odds_ratio=ratio, ci_low=lo, ci_high=hi, p_value=p_value)
 
 
 def report_text(report: SubgroupReport, dataset: DiscreteDataset) -> str:
     """Aligned plain-text rendering of a subgroup report."""
+    result = report.result
     p_txt = "n/a" if report.p_value is None else f"{report.p_value:.4g}"
     rows = [
-        ("#Feats (#Vals)", f"{report.n_features} ({report.n_values})"),
-        ("Subset size", f"{report.subset_size}"),
+        ("#Feats (#Vals)", f"{result.descriptor.n_features} ({result.descriptor.n_values})"),
+        ("Subset size", f"{result.subset_size}"),
         ("%", f"{report.subset_pct}"),
         ("Odds ratio", f"{report.odds_ratio:.2f}"),
         ("CI", f"({report.ci_low:.2f}, {report.ci_high:.2f})"),
         ("p", p_txt),
-        ("Score", f"{report.score:.4f}"),
-        ("Elapsed (s)", f"{report.elapsed:.3f}"),
+        ("Score", f"{result.score:.4f}"),
+        ("Elapsed (s)", f"{result.elapsed:.3f}"),
     ]
     width = max(len(k) for k, _ in rows)
     lines = [f"{k:<{width}}  {v}" for k, v in rows]
-    if report.no_divergence:
+    if result.no_divergence:
         lines.append("flag: no divergence")
-    for name, labels in report.descriptor.to_labels(dataset).items():
+    for name, labels in result.descriptor.to_labels(dataset).items():
         lines.append(f"  {name} in {{{', '.join(labels)}}}")
     return "\n".join(lines)

@@ -136,21 +136,30 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """The best subgroup found. ``fallback_starts`` counts the random
-    restarts that found no start matching a record in 100 draws and began
-    from the unconstrained subgroup instead; ``truncated_ascents`` counts
-    the restarts whose ascent was still improving after ``_MAX_PASSES``
-    passes. The exhaustive oracle reports 0 for both."""
+    """The best subgroup found: descriptor, score, clamped q_hat, matched
+    record indices (ascending), how many are positive, and wall time (s).
+    ``fallback_starts`` counts the random restarts that found no start
+    matching a record in 100 draws and began from the unconstrained subgroup
+    instead; ``truncated_ascents`` counts the restarts whose ascent was still
+    improving after ``_MAX_PASSES`` passes. The oracle reports 0 for both."""
 
     descriptor: SubgroupDescriptor
     score: float
     q_hat: float
     matched: np.ndarray = field(repr=False)
-    subset_size: int
     subset_outcome_sum: int
     elapsed: float
     fallback_starts: int = 0
     truncated_ascents: int = 0
+
+    @property
+    def subset_size(self) -> int:
+        return self.matched.size
+
+    @property
+    def no_divergence(self) -> bool:
+        """The subgroup is the whole data (no constraint) or scores 0."""
+        return self.descriptor.n_features == 0 or self.score == 0.0
 
 
 def q_mle(n_s: int, sum_y: int, mu: float) -> float:
@@ -385,8 +394,7 @@ def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     sum_y = int(dataset.outcome[rows].sum())
     score, q_hat = _score_counts(rows.size, sum_y, dataset.outcome_mean, direction)
     return ScanResult(descriptor=descriptor, score=score, q_hat=q_hat,
-                      matched=rows, subset_size=rows.size,
-                      subset_outcome_sum=sum_y, elapsed=elapsed, **search)
+                      matched=rows, subset_outcome_sum=sum_y, elapsed=elapsed, **search)
 
 
 class _Restart:

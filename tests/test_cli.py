@@ -73,13 +73,17 @@ class TestRankCommand:
         assert len(out.strip().splitlines()) == ds.n_features
 
     def test_top_k_listing(self, capsys, random_csv):
-        path, _ = random_csv
-        _, out = run(capsys, ["rank", "--input", path, "--outcome-col", "y",
-                              "--top-k", "2"])
+        path, ds = random_csv
+        argv = ["rank", "--input", path, "--outcome-col", "y", "--top-k", "2"]
+        _, out = run(capsys, argv)
         doc = json.loads(out)
+        assert len(doc["payload"]["entries"]) == ds.n_features
         assert len(doc["payload"]["top_k"]) == 2
         assert doc["payload"]["top_k"] == [
             e["feature"] for e in doc["payload"]["entries"][:2]]
+        # the text listing stops after the K-th row
+        _, text = run(capsys, [*argv, "--format", "text"])
+        assert [line.split()[0] for line in text.splitlines()] == doc["payload"]["top_k"]
 
     def test_mi_method(self, capsys, random_csv):
         path, _ = random_csv

@@ -206,6 +206,22 @@ class TestSafsRank:
         ds = make_dataset([1, 2], [[0, 0], [0, 1], [0, 0]], [1, 0, 1])
         assert dict(safs_rank(ds).entries)[0] == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_binary_features_tie_at_zero(self, data):
+        # value 1's table is value 0's with the rows swapped, so Y(1) = -Y(0);
+        # small n leaves zero cells and, at times, an empty value
+        cards = data.draw(st.lists(st.sampled_from([2, 2, 3, 4]), min_size=1, max_size=6))
+        n = data.draw(st.integers(2, 30))
+        codes = [[data.draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                      .filter(lambda v: 0 < sum(v) < n))
+        ranking = safs_rank(make_dataset(cards, codes, y))
+        scores = dict(ranking.entries)
+        binary = [f for f in ranking.features if cards[f] == 2]
+        assert all(scores[f] == 0.0 for f in binary)
+        assert binary == sorted(binary)
+
     def test_increasing_scores_rejected(self):
         with pytest.raises(DataError, match="non-increasing"):
             FeatureRanking("safs", ((0, 0.1), (1, 0.2)))

@@ -215,7 +215,6 @@ class TestScan:
             res = scan(ds, list(range(ds.n_features)), ScanConfig(restarts=3, seed=seed))
             score, _ = score_subgroup(ds, res.descriptor, OVER)
             assert res.score == pytest.approx(score, abs=1e-9)
-            assert res.subset_size == len(res.matched)
             assert 0 <= res.subset_outcome_sum <= res.subset_size
 
     def test_monotone_ascent(self):
