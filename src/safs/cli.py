@@ -256,9 +256,7 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     run = _scan_run(top_k, **kw)
-    p_value = empirical_p_value(run.dataset, run.features, run.config,
-                                run.result.score, permutations)
-    report = build_report(run.dataset, run.result, p_value)
+    report = build_report(run.dataset, run.result, empirical_p_value(run.result, permutations))
     payload = {**run.payload(), **_subgroup_fields(report, run.dataset), "kind": "pipeline",
                "permutations": permutations, "no_divergence": run.result.no_divergence}
     doc = _document("pipeline", payload, run.volatile())

@@ -3,7 +3,7 @@ similarity of detected record sets, and top-K sweeps with timing capture."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,7 +87,7 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
             k_values: Sequence[int], config: ScanConfig,
             permutations: int = 0) -> list[SweepEntry]:
     """Scan each top-K prefix of a ranking, timing each scan and comparing its
-    matched records against the full-feature (K = M) run."""
+    matched records against the full-feature (K = M) run; entries keep no search."""
     m = dataset.n_features
     ks = [int(k) for k in k_values]
     if not ks or any(k < 1 or k > m for k in ks):
@@ -97,17 +97,18 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
     if permutations < 0:
         raise DataError(f"permutations must be >= 0, got {permutations}")
 
-    full = scan(dataset, top_k(ranking, m), config)
-    full_set = set(full.matched.tolist())
+    def scanned(k: int, permutations: int = permutations):
+        """The top-k scan, freed of its search (and kernel), and its p-value."""
+        result = scan(dataset, top_k(ranking, k), config)
+        p_value = empirical_p_value(result, permutations) if permutations else None
+        return replace(result, _search=None), p_value
 
+    # K = M can only be the last K: take its p-value now, so one kernel lives at a time
+    full, full_p = scanned(m, permutations if ks[-1] == m else 0)
+    full_set = set(full.matched.tolist())
     entries = []
     for k in ks:
-        features = top_k(ranking, k)
-        result = full if k == m else scan(dataset, features, config)
-        p_value = None
-        if permutations > 0:
-            p_value = empirical_p_value(dataset, features, config,
-                                        result.score, permutations)
+        result, p_value = (full, full_p) if k == m else scanned(k)
         entries.append(SweepEntry(
             k=k,
             report=build_report(dataset, result, p_value),

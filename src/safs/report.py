@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .dataset import ContingencyTable, DiscreteDataset, table_cells
 from .errors import DataError
-from .scanner import ScanConfig, ScanResult, _relabelled_scores
+from .scanner import ScanResult
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -49,29 +48,27 @@ def odds_ratio_ci(table: ContingencyTable) -> tuple[float, float, float]:
     return ratio, math.exp(log_or - half_width), math.exp(log_or + half_width)
 
 
-def empirical_p_value(dataset: DiscreteDataset, features: Sequence[int],
-                      config: ScanConfig, observed_score: float,
-                      permutations: int = 100) -> float:
-    """Empirical p-value from label-permutation reruns of the scan.
+def empirical_p_value(result: ScanResult, permutations: int = 100) -> float:
+    """Empirical p-value of a :func:`~safs.scanner.scan` result.
 
-    Each replicate permutes the outcome labels (seeded independently of the
-    scan's restart stream) and reruns the scan with the identical config;
-    p = (1 + #{score >= observed}) / (permutations + 1). Replicates run
-    serially in the calling process, on one scan kernel. What does not
-    depend on the labels is done once for all of them: the restart starts
-    and the per-pass feature orders (a start descriptor and at most 50
-    orders of the K features per restart), and the score of each
-    (records, positives) pair, memoized by its counts at about 170 bytes
-    per pair. A replicate only relabels the kernel and climbs.
+    Each replicate permutes the outcome labels (seeded from the scan's seed,
+    apart from its restart stream) and climbs the scan's own kernel and
+    restart plan, reusing its starts, pass orders and score memo (about 170
+    bytes per (records, positives) pair); p = (1 + #{score >= result.score})
+    / (permutations + 1). The labels are restored after, so one result's
+    p-value must not run from two threads at once. A ``brute_force_scan``
+    result keeps no search and raises ``DataError``.
     """
     if permutations < 1:
         raise DataError("permutations must be >= 1")
-    if math.isnan(observed_score):
+    if math.isnan(result.score):
         raise DataError("observed score is nan")
-    seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)
-    orders = (np.random.default_rng(s).permutation(dataset.n_records) for s in seeds)
-    scores = _relabelled_scores(dataset, features, config, orders)
-    exceed = sum(1 for s in scores if s >= observed_score)
+    if (search := result._search) is None:
+        raise DataError("the result keeps no search to rerun: only scan() results do")
+    y = search.kernel.outcome
+    seeds = np.random.SeedSequence([_PERMUTE_KEY, search.seed]).spawn(permutations)
+    scores = search.best_scores(y[np.random.default_rng(s).permutation(y.size)] for s in seeds)
+    exceed = sum(1 for s in scores if s >= result.score)
     return (1 + exceed) / (permutations + 1)
 
 

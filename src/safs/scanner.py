@@ -15,15 +15,9 @@ memo lookups, with a Python-level score call for each (n_s, sum_y) pair the
 kernel has not scored before. A step whose answer cannot have changed since the
 feature's last step is skipped.
 
-Work that does not depend on the outcome labels is done once per kernel, so
-permutation replicates, which relabel one kernel, only climb. The restart
-plan holds each restart's start descriptor and its per-pass feature orders,
-drawn as the ascents first reach a pass: at most ``_MAX_PASSES`` lists of K
-ints per restart. Prefix scores are memoized by their counts
-``(n_s, sum_y)``. That is exact because the outcome rate and the direction
-are fixed for a kernel, and a permutation keeps the rate. The memo holds one
-entry of about 170 bytes per distinct pair scored: on a 5,000-record, K = 12
-input, about 100 for one scan, and 530 for 9 replicates or 2,600 for 100.
+A scan keeps its kernel and restart plan in its result: permutation
+replicates relabel that kernel and only climb, with prefix scores memoized by
+``(n_s, sum_y)`` (exact: the direction is fixed and a permutation keeps the rate).
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,7 +135,12 @@ class ScanResult:
     ``fallback_starts`` counts the random restarts that found no start
     matching a record in 100 draws and began from the unconstrained subgroup
     instead; ``truncated_ascents`` counts the restarts whose ascent was still
-    improving after ``_MAX_PASSES`` passes. The oracle reports 0 for both."""
+    improving after ``_MAX_PASSES`` passes. The oracle reports 0 for both.
+    ``_search`` keeps the kernel and plan for :func:`~safs.report.empirical_p_value`
+    until ``replace(result, _search=None)`` frees them: N/8 bytes per value of a
+    feature of at most ``_BITS_MAX_CARD`` values, 8N per wider one, plus the memo.
+    ``scan-large`` inputs keep 1.1 MB at 20k rows, 9.5 MB at 200k (so about 47 MB
+    at 10^6); a 5k-row ``pipeline-small`` one 51 kB, 111 kB after 9 replicates."""
 
     descriptor: SubgroupDescriptor
     score: float
@@ -151,6 +150,7 @@ class ScanResult:
     elapsed: float
     fallback_starts: int = 0
     truncated_ascents: int = 0
+    _search: _Search | None = field(default=None, repr=False, compare=False)
 
     @property
     def subset_size(self) -> int:
@@ -252,6 +252,7 @@ class _ScanKernel:
             else:
                 # intp: bincount casts any other index type on every call
                 self.keys[f] = 2 * col.astype(np.intp)
+        self.outcome = dataset.outcome
         self.positives = int(np.count_nonzero(dataset.outcome))
         self.relabel(dataset.outcome)
         # score of each (n_s, sum_y) pair scored so far
@@ -386,10 +387,9 @@ def _random_descriptor(cards: Mapping[int, int],
 
 
 def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
-                 matched: int, direction: str, elapsed: float,
-                 **search: int) -> ScanResult:
+                 matched: int, direction: str, elapsed: float, **search) -> ScanResult:
     """The result for ``descriptor``, whose record bitmask is ``matched``;
-    ``search`` holds the search-limit counts of :class:`ScanResult`."""
+    ``search`` holds the search fields of :class:`ScanResult`."""
     rows = np.flatnonzero(_bool_from_bits(matched, dataset.n_records))
     sum_y = int(dataset.outcome[rows].sum())
     score, q_hat = _score_counts(rows.size, sum_y, dataset.outcome_mean, direction)
@@ -492,6 +492,25 @@ def _best_of_restarts(kernel: _ScanKernel, plan: Sequence[_Restart]
     return score, descriptor, matched, truncated
 
 
+class _Search(NamedTuple):
+    """What :func:`scan` searched with, for replicates to relabel and climb."""
+
+    kernel: _ScanKernel
+    plan: list[_Restart]
+    seed: int
+
+    def best_scores(self, outcomes: Iterable[np.ndarray]) -> list[float]:
+        """The scan's score per outcome (each keeping the positives); labels restored after."""
+        try:
+            scores = []
+            for y in outcomes:
+                self.kernel.relabel(y)
+                scores.append(max(_ascend(self.kernel, restart)[0] for restart in self.plan))
+            return scores
+        finally:
+            self.kernel.relabel(self.kernel.outcome)
+
+
 def scan(dataset: DiscreteDataset, features: Sequence[int],
          config: ScanConfig = ScanConfig()) -> ScanResult:
     """Best divergent subgroup over the given features.
@@ -508,22 +527,7 @@ def scan(dataset: DiscreteDataset, features: Sequence[int],
     return _result_from(dataset, descriptor, matched, config.direction,
                         time.perf_counter() - t0,
                         fallback_starts=sum(r.fell_back for r in plan),
-                        truncated_ascents=truncated)
-
-
-def _relabelled_scores(dataset: DiscreteDataset, features: Sequence[int],
-                       config: ScanConfig, orders: Iterable[np.ndarray]) -> list[float]:
-    """``scan(...).score`` with the outcome relabelled ``outcome[order]``, per
-    order, on one kernel and one restart plan: a permutation keeps the
-    positives, so ``mu`` and the score memo hold. The tie-break between
-    restarts never changes the score, so none is computed."""
-    kernel = _ScanKernel(dataset, features, config.direction)
-    plan = _restart_plan(kernel, config)
-    scores = []
-    for order in orders:
-        kernel.relabel(dataset.outcome[order])
-        scores.append(max(_ascend(kernel, restart)[0] for restart in plan))
-    return scores
+                        truncated_ascents=truncated, _search=_Search(kernel, plan, config.seed))
 
 
 def _bits_from_bool(mask: np.ndarray) -> int:

@@ -211,9 +211,8 @@ def test_acceptance_8_permutation_calibration():
     for seed in range(200):
         ds = noise_dataset(seed, n=100, m=3)
         features = [0, 1, 2]
-        observed = scan(ds, features, config).score
-        p = empirical_p_value(ds, features, config, observed,
-                              permutations=100)
+        result = scan(ds, features, config)
+        p = empirical_p_value(result, permutations=100)
         assert p > 0
         significant += p <= 0.05
     fraction = significant / 200

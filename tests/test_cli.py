@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import safs
+from safs import scanner
 from safs.cli import canonical_json, main
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
@@ -175,6 +176,26 @@ class TestPipelineCommand:
             assert p > 0
             significant += p <= 0.05
         assert significant <= 5  # at most 10% false alarms at the 5% level
+
+    def test_one_kernel_and_one_plan(self, capsys, monkeypatch, random_csv):
+        # the permutation replicates rerun the search that the scan kept
+        built = []
+        kernel_init, restart_plan = scanner._ScanKernel.__init__, scanner._restart_plan
+
+        def counted_init(kernel, *args):
+            built.append("kernel")
+            kernel_init(kernel, *args)
+
+        def counted_plan(*args):
+            built.append("plan")
+            return restart_plan(*args)
+
+        monkeypatch.setattr(scanner._ScanKernel, "__init__", counted_init)
+        monkeypatch.setattr(scanner, "_restart_plan", counted_plan)
+        code, _ = run(capsys, ["pipeline", "--input", random_csv[0], "--outcome-col", "y",
+                               "--restarts", "3", "--permutations", "9"])
+        assert code == 0
+        assert built == ["kernel", "plan"]
 
     def test_payload_is_deterministic_across_processes_and_threads(
             self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from safs import (
     safs_rank,
     sweep_k,
 )
+from safs import evaluation, scanner
 from synth import planted_dataset, random_dataset
 
 
@@ -122,6 +125,32 @@ class TestSweepK:
         for e in entries:
             assert e.report.p_value is not None
             assert 1 / 20 <= e.report.p_value <= 1.0
+            # an entry keeps no scan kernel alive
+            assert e.report.result._search is None
+
+    def test_one_kernel_alive_at_a_time(self, monkeypatch):
+        # each scan starts while no earlier scan's kernel is alive, the
+        # K = M one included, whose p-value is taken before the other scans
+        live = weakref.WeakSet()
+        kernel_init, scan = scanner._ScanKernel.__init__, evaluation.scan
+        alive_at_scan = []
+
+        def tracked_init(self, *args):
+            kernel_init(self, *args)
+            live.add(self)
+
+        def counted_scan(*args):
+            alive_at_scan.append(len(live))
+            return scan(*args)
+
+        monkeypatch.setattr(scanner._ScanKernel, "__init__", tracked_init)
+        monkeypatch.setattr(evaluation, "scan", counted_scan)
+        ds = random_dataset(4, n=150, n_features=3)
+        entries = sweep_k(ds, safs_rank(ds), [1, 2, 3], ScanConfig(restarts=2, seed=1),
+                          permutations=5)
+        assert alive_at_scan == [0, 0, 0]
+        assert len(live) == 0
+        assert all(e.report.p_value is not None for e in entries)
 
     def test_k_validation(self):
         ds = random_dataset(5)

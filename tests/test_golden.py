@@ -57,8 +57,7 @@ def answer(name: str) -> dict:
                 else top_k(safs_rank(dataset), k))
     config = ScanConfig(direction=direction, restarts=4, seed=11)
     result = scan(dataset, features, config)
-    p_value = (empirical_p_value(dataset, features, config, result.score, permutations)
-               if permutations else None)
+    p_value = empirical_p_value(result, permutations) if permutations else None
     return {
         "cardinalities": [dataset.schemas[f].cardinality for f in features],
         "descriptor": result.descriptor.to_labels(dataset),

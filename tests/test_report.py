@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from safs import (
     ScanConfig,
     ScanResult,
     SubgroupDescriptor,
+    brute_force_scan,
     build_report,
     empirical_p_value,
     odds_ratio_ci,
@@ -18,7 +20,8 @@ from safs import (
     score_subgroup,
 )
 from safs.report import report_text
-from synth import make_dataset, noise_dataset, planted_dataset
+from safs.scanner import _BITS_MAX_CARD, _ScanKernel
+from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
 class TestOddsRatioCi:
@@ -66,36 +69,54 @@ class TestEmpiricalPValue:
 
     def test_zero_score_gives_p_one(self):
         ds = noise_dataset(0)
-        cfg = ScanConfig(restarts=1, seed=0)
-        assert empirical_p_value(ds, [0, 1, 2], cfg, 0.0, permutations=19) == 1.0
+        result = scan(ds, [0, 1, 2], ScanConfig(restarts=1, seed=0))
+        assert empirical_p_value(replace(result, score=0.0), permutations=19) == 1.0
 
     def test_planted_subgroup_hits_floor(self):
         ds, _, _ = planted_dataset(1, n=800)
         cfg = ScanConfig(restarts=10, seed=5)
-        observed = scan(ds, list(range(ds.n_features)), cfg).score
-        p = empirical_p_value(ds, list(range(ds.n_features)), cfg, observed,
-                              permutations=100)
+        result = scan(ds, list(range(ds.n_features)), cfg)
+        p = empirical_p_value(result, permutations=100)
         assert p == pytest.approx(1 / 101)
 
     def test_range_and_determinism(self):
         ds = noise_dataset(3)
         cfg = ScanConfig(restarts=1, seed=7)
-        observed = scan(ds, [0, 1, 2], cfg).score
-        p1 = empirical_p_value(ds, [0, 1, 2], cfg, observed, permutations=30)
-        p2 = empirical_p_value(ds, [0, 1, 2], cfg, observed, permutations=30)
+        result = scan(ds, [0, 1, 2], cfg)
+        p1 = empirical_p_value(result, permutations=30)
+        p2 = empirical_p_value(result, permutations=30)
         assert p1 == p2
         assert 1 / 31 <= p1 <= 1.0
+
+    def test_replicates_restore_the_labels(self):
+        # a feature above _BITS_MAX_CARD keeps its labels in keys as well
+        ds = random_dataset(2, n=300, n_features=4, max_card=_BITS_MAX_CARD + 4)
+        assert max(s.cardinality for s in ds.schemas) > _BITS_MAX_CARD
+        feats = list(range(ds.n_features))
+        result = scan(ds, feats, ScanConfig(restarts=3, seed=2))
+        p = empirical_p_value(result, permutations=9)
+        assert empirical_p_value(result, permutations=9) == p
+        kernel, fresh = result._search.kernel, _ScanKernel(ds, feats, OVER)
+        assert kernel.y_bits == fresh.y_bits
+        assert kernel.keys.keys() == fresh.keys.keys()
+        for f, keys in kernel.keys.items():
+            np.testing.assert_array_equal(keys, fresh.keys[f])
+
+    def test_oracle_result_has_no_search(self):
+        ds = noise_dataset(0)
+        with pytest.raises(DataError, match="no search"):
+            empirical_p_value(brute_force_scan(ds, [0, 1]), permutations=9)
 
     def test_nan_observed_score_raises(self):
         # no replicate score is >= nan, which would give the 1/(R+1) floor
         with pytest.raises(DataError):
-            empirical_p_value(noise_dataset(0), [0, 1, 2], ScanConfig(restarts=1),
-                              float("nan"), permutations=19)
+            empirical_p_value(replace(scan(noise_dataset(0), [0, 1, 2], ScanConfig(restarts=1)),
+                                      score=float("nan")), permutations=19)
 
     def test_invalid(self):
         ds = noise_dataset(5)
         with pytest.raises(DataError):
-            empirical_p_value(ds, [0], ScanConfig(), 1.0, permutations=0)
+            empirical_p_value(scan(ds, [0]), permutations=0)
 
 
 class TestBuildReport:

@@ -26,8 +26,8 @@ from safs.dataset import constraints_bool_mask
 from safs.report import _PERMUTE_KEY
 from safs import scanner
 from safs.scanner import (_BITS_MAX_CARD, _MAX_PASSES, _ascend, _best_of_restarts,
-                           _random_descriptor, _relabelled_scores, _Restart,
-                           _restart_plan, _ScanKernel, _score_counts)
+                           _random_descriptor, _Restart, _restart_plan, _ScanKernel,
+                           _score_counts)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
 
@@ -556,11 +556,10 @@ class TestRelabelledScores:
         expected = [scan(DiscreteDataset(ds.schemas, ds.codes, ds.outcome[order],
                                          ds.outcome_name), feats, config).score
                     for order in orders]
-        assert _relabelled_scores(ds, feats, config, orders) == expected
-        observed = scan(ds, feats, config).score
-        exceed = sum(1 for s in expected if s >= observed)
-        assert empirical_p_value(ds, feats, config, observed, permutations) == \
-            (1 + exceed) / (permutations + 1)
+        result = scan(ds, feats, config)
+        assert result._search.best_scores(ds.outcome[order] for order in orders) == expected
+        exceed = sum(1 for s in expected if s >= result.score)
+        assert empirical_p_value(result, permutations) == (1 + exceed) / (permutations + 1)
 
 
 def reference_scan(dataset, features, config):
@@ -623,7 +622,7 @@ class TestRestartPlan:
         expected = [reference_scan(DiscreteDataset(ds.schemas, ds.codes, ds.outcome[order],
                                                    ds.outcome_name), feats, config)[0]
                     for order in orders]
-        assert _relabelled_scores(ds, feats, config, orders) == expected
+        assert got._search.best_scores(ds.outcome[order] for order in orders) == expected
 
     def test_memo_is_shared_by_replicates(self):
         ds = planted_dataset(0, n=500, n_noise=3)[0]
