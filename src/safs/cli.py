@@ -53,14 +53,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_and_rank(input_path: str, outcome_col: str, bins: int, missing_category: str,
-                   method: str) -> tuple[DiscreteDataset, FeatureRanking, float]:
-    """Load the CSV and rank its features; also returns the rank time (s)."""
+                   method: str) -> tuple[DiscreteDataset, FeatureRanking, float, float]:
+    """Load the CSV and rank its features; also returns the load and rank
+    times (s)."""
     spec = DiscretizationSpec(bins=bins, missing_label=missing_category)
+    t0 = time.perf_counter()
     dataset = load_csv(input_path, outcome_col, spec)
     ranker = safs_rank if _METHODS[method] == METHOD_SAFS else mutual_information_rank
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     ranking = ranker(dataset)
-    return dataset, ranking, time.perf_counter() - t0
+    return dataset, ranking, t1 - t0, time.perf_counter() - t1
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,7 @@ class _ScanRun:
     features: list[int]
     config: ScanConfig
     result: ScanResult
+    load_seconds: float
     rank_seconds: float
 
     def payload(self) -> dict:
@@ -91,8 +94,8 @@ class _ScanRun:
         }
 
     def volatile(self) -> dict:
-        return {"rank_ms": self.rank_seconds * 1000, "scan_ms": self.result.elapsed * 1000,
-                **_search_limits(self.result)}
+        return {"load_ms": self.load_seconds * 1000, "rank_ms": self.rank_seconds * 1000,
+                "scan_ms": self.result.elapsed * 1000, **_search_limits(self.result)}
 
 
 def _search_limits(result: ScanResult) -> dict:
@@ -121,11 +124,11 @@ def _subgroup_fields(report: SubgroupReport, dataset: DiscreteDataset) -> dict:
 def _scan_run(k: int | None, restarts: int, direction: str, seed: int,
               **load) -> _ScanRun:
     """Scan the top-k ranked features (all of them when k is None)."""
-    dataset, ranking, rank_seconds = _load_and_rank(**load)
+    dataset, ranking, load_seconds, rank_seconds = _load_and_rank(**load)
     features = top_k(ranking, dataset.n_features if k is None else k)
     config = ScanConfig(direction=direction, restarts=restarts, seed=seed)
     return _ScanRun(dataset, ranking, features, config,
-                    scan(dataset, features, config), rank_seconds)
+                    scan(dataset, features, config), load_seconds, rank_seconds)
 
 
 def _ranking_payload(dataset, ranking: FeatureRanking, selected: list[int] | None) -> dict:
@@ -222,10 +225,11 @@ def cli():
 def rank_command(out, fmt, **kw):
     """Rank features and write the ranking artifact."""
     k = kw.pop("top_k")
-    dataset, ranking, elapsed = _load_and_rank(**kw)
+    dataset, ranking, load_seconds, rank_seconds = _load_and_rank(**kw)
     selected = top_k(ranking, k) if k is not None else None
     payload = _ranking_payload(dataset, ranking, selected)
-    doc = _document("ranking", payload, {"elapsed_ms": elapsed * 1000})
+    doc = _document("ranking", payload, {"elapsed_ms": rank_seconds * 1000,
+                                         "load_ms": load_seconds * 1000})
     _emit(_ranking_text(payload, k) if fmt == "text" else canonical_json(doc), out)
 
 
@@ -256,10 +260,13 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     run = _scan_run(top_k, **kw)
-    report = build_report(run.dataset, run.result, empirical_p_value(run.result, permutations))
+    t0 = time.perf_counter()
+    p_value = empirical_p_value(run.result, permutations)
+    p_value_ms = (time.perf_counter() - t0) * 1000
+    report = build_report(run.dataset, run.result, p_value)
     payload = {**run.payload(), **_subgroup_fields(report, run.dataset), "kind": "pipeline",
                "permutations": permutations, "no_divergence": run.result.no_divergence}
-    doc = _document("pipeline", payload, run.volatile())
+    doc = _document("pipeline", payload, {**run.volatile(), "p_value_ms": p_value_ms})
     _emit(report_text(report, run.dataset) + "\n" if fmt == "text" else canonical_json(doc),
           out)
 
@@ -311,7 +318,7 @@ def sweep_command(k_spec, permutations, restarts, direction, seed, out, **load):
         k_values = [int(v) for v in k_spec.split(",") if v.strip()]
     except ValueError:
         raise click.UsageError(f"cannot parse --k value {k_spec!r}") from None
-    dataset, ranking, _ = _load_and_rank(**load)
+    dataset, ranking, _, _ = _load_and_rank(**load)
     config = ScanConfig(direction=direction, restarts=restarts, seed=seed)
     entries = sweep_k(dataset, ranking, k_values, config, permutations)
     lines = []

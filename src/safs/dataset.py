@@ -4,20 +4,27 @@ Records are stored as integer category codes, column-major so that each
 feature's column is contiguous, plus a binary outcome vector. The dataset is
 immutable after construction and safe to share across threads.
 
-Ingest cost. ``load_csv`` reads the file's bytes once; without a double quote,
-numpy finds their line ends and commas with elementwise passes, O(bytes), to
-check the row lengths and to size each text column to its widest cell. One
-``np.loadtxt`` pass of numpy's C tokenizer then parses every column: float64
-where the first cell is a number or empty, text otherwise. A fixed-width text
-column whose cells fit one 63-bit word (9 ASCII characters, 3 astral ones) is
-packed into one int64 key per cell and encoded in first-appearance order by
-one argsort of the keys, O(N log N) integer work with no string compared; a
-column of wider cells or of Python strings (a file with a double quote, an
-over-long cell) sorts its strings instead. The outcome is encoded with one
-``np.unique``; each numeric column is binned with one quantile and one
-comparison per bin edge. ``float()`` runs per cell only as the fallback, for
-columns in which numpy's float parser rejects a cell (an empty cell,
-``1_000``, non-ASCII digits, a text cell below a number).
+Ingest cost. ``load_csv`` reads the file's bytes once. Without a double
+quote, numpy finds their line ends and commas with elementwise passes,
+O(bytes), which check the row lengths and give every cell's byte span. A
+text column, the outcome too, is keyed from those bytes: a cell of at most 8
+bytes is one 64-bit word read at its start, a wider cell a fixed-width bytes
+string of such words. One argsort of the keys encodes the column in
+first-appearance order, O(N log N) integer work with no string built; only
+each category's first cell is decoded, for its label. Python strings are
+built only for a column whose widest cell is longer than the file's mean
+line, which bounds the keys at about one byte per file byte.
+
+``np.loadtxt`` parses only the columns whose first cell is a number or
+empty, as float64, in one pass of numpy's C tokenizer over the file; it does
+not run when there are none. Where numpy's float parser rejects a cell (an
+empty cell, ``1_000``, non-ASCII digits, a text cell below a number),
+``float()`` decides per cell for every such column, from cells decoded from
+their spans. A file with a double quote is parsed by one ``np.loadtxt`` pass
+over every column (float64 candidates, Python strings otherwise, and all
+strings again if a float is rejected); its text columns are joined into byte
+buffers and keyed the same way. Each numeric column is binned with one
+quantile and one comparison per bin edge.
 """
 
 from __future__ import annotations
@@ -166,17 +173,16 @@ class DiscreteDataset:
         return np.bincount(keys, minlength=2 * c).reshape(c, 2)
 
 
-def _encode_outcome(cells: np.ndarray, column: str) -> np.ndarray:
-    """The outcome cells as 0/1; the mapping runs once per distinct cell."""
-    distinct, inverse = np.unique(cells, return_inverse=True)
-    values = np.array([_OUTCOME_MAP.get(v.strip().lower(), -1) for v in distinct.tolist()],
-                      dtype=np.int8)
-    outcome = values[inverse]
+def _encode_outcome(labels: list[str], codes: np.ndarray, column: str) -> np.ndarray:
+    """The outcome cells, given as their distinct labels and each row's
+    code, as 0/1; the mapping runs once per distinct cell."""
+    values = np.array([_OUTCOME_MAP.get(v.strip().lower(), -1) for v in labels], dtype=np.int8)
+    outcome = values[codes]
     bad = np.flatnonzero(outcome < 0)
     if bad.size:
         i = int(bad[0])
         raise DataError(f"outcome column {column!r} row {i + 2}: "
-                        f"{str(cells[i])!r} is not a binary value")
+                        f"{labels[codes[i]]!r} is not a binary value")
     return outcome
 
 
@@ -223,47 +229,103 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     return labels, codes
 
 
-def _encode_text(cells: np.ndarray, missing_label: str) -> tuple[list[str], np.ndarray]:
-    """Distinct cells in first-appearance order; empty cells are the missing
-    label."""
-    empty = cells == ""
-    if empty.any():
-        cells = np.where(empty, missing_label, cells)
+# A text column's cells are byte spans of the file: cell i of a column is
+# data[lo[i] + 1:hi[i]], between the delimiters at lo[i] and hi[i]. The data
+# holds no NUL and ends with at least 7 bytes past its last cell, so that an
+# 8-byte word can be read at any cell's start.
+_PAD = bytes(8)
+# _MASKS[n] keeps the first n bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _spans(cells: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Python strings as the byte spans of one buffer, joined by NUL."""
+    data = "\0".join(cells).encode()
+    nuls = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
+    return data + _PAD, np.append(-1, nuls), np.append(nuls, len(data))
+
+
+def _cells(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """A column's cells at byte spans of UTF-8 data, decoded."""
+    # each cell's bytes and the delimiter after it, which becomes a NUL, are
+    # gathered into one buffer; one decode and one split build the strings
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    picks = np.arange(int(ends[-1])) + np.repeat(hi + 1 - ends, sizes)
+    joined = np.frombuffer(data, dtype=np.uint8)[picks]
+    joined[ends - 1] = 0
+    return joined.tobytes().decode().split("\0")[:-1]
+
+
+def _keys(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarray:
+    """Sort keys for the cells at byte spans of data, equal exactly where the
+    cells are equal.
+
+    A cell's key is its bytes, zero-padded to the column's widest cell: one
+    little-endian 64-bit word when that cell has at most 8 bytes, else a
+    fixed-width bytes string of such words. An empty cell is zero, and no
+    other is, since no cell holds a NUL. A column whose widest cell is
+    longer than ``limit`` bytes, the file's mean line length, is keyed by
+    its cells as Python strings instead, so that the keys take at most
+    about one byte per file byte.
+    """
+    starts = lo + 1
+    lengths = hi - starts
+    width = int(lengths.max())
+    if width > limit:
+        return np.array(_cells(data, lo, hi), dtype=object)
+    # every 8-byte window of data, one at each byte
+    windows = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+    if width <= 8:
+        return windows[starts] & _MASKS[lengths]
+    words = [windows[np.minimum(starts + k, hi)] & _MASKS[np.clip(lengths - k, 0, 8)]
+             for k in range(0, width, 8)]
+    return np.column_stack(words).view(f"S{8 * len(words)}").ravel()
+
+
+def _distinct(data: bytes, lo: np.ndarray, hi: np.ndarray,
+              limit: float) -> tuple[list[str], np.ndarray]:
+    """The distinct cells at byte spans of data, in first-appearance order,
+    and each cell's index among them. Only one cell per category is decoded."""
+    keys = _keys(data, lo, hi, limit)
     # np.unique's grouping, with each group's first row as its least row:
-    # return_index would sort stably, which took 3x as long on int64 keys
-    keys = _keys(cells)
+    # return_index would sort stably, which took 3x as long on 64-bit keys
     rows = np.argsort(keys)
-    sorted_keys = keys[rows]
-    new = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    first = np.minimum.reduceat(rows, np.flatnonzero(new))
+    sorted_keys = keys.take(rows)
+    new = np.empty(rows.size, dtype=bool)
+    new[0] = True
+    # the operator, not np.not_equal: numpy before 1.25 has no ufunc loop
+    # comparing bytes strings
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    bounds = np.flatnonzero(new)
+    first = np.minimum.reduceat(rows, bounds)
     order = np.argsort(first)
     codes = np.empty_like(order)
     codes[order] = np.arange(order.size)
     row_codes = np.empty_like(rows)
-    row_codes[rows] = codes[np.cumsum(new) - 1]
-    return cells[first[order]].tolist(), row_codes
+    row_codes[rows] = np.repeat(codes, np.concatenate((bounds[1:], [rows.size])) - bounds)
+    # one cell per category: decoded one at a time, which costs less than
+    # _cells's fixed numpy overhead at these counts
+    first = first[order]
+    labels = [data[a + 1:b].decode() for a, b in zip(lo[first].tolist(), hi[first].tolist())]
+    return labels, row_codes
 
 
-def _keys(cells: np.ndarray) -> np.ndarray:
-    """Sort keys for a text column, equal exactly where the cells are equal:
-    one int64 per cell for a fixed-width str column whose cells fit one
-    63-bit word, else the cells themselves.
-
-    A str cell is a row of code points below 2**21, zero-padded to the
-    column's width. Each takes the bits of the column's largest code point,
-    so a word holds 9 ASCII or 3 astral code points.
-    """
-    if cells.dtype.kind != "U":
-        return cells
-    n, width = cells.size, cells.dtype.itemsize // 4
-    units = np.ascontiguousarray(cells).view(np.uint32).reshape(n, width)
-    bits = max(int(units.max()).bit_length(), 1)
-    if width * bits > 63:
-        return cells
-    key = np.zeros(n, dtype=np.int64)
-    for j in range(width):
-        key |= np.left_shift(units[:, j], bits * j, dtype=np.int64)
-    return key
+def _encode_text(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float,
+                 missing_label: str) -> tuple[list[str], np.ndarray]:
+    """Distinct cells in first-appearance order; empty cells are the missing
+    label, one category with any cell that holds that label."""
+    labels, codes = _distinct(data, lo, hi, limit)
+    if "" in labels:
+        labels[labels.index("")] = missing_label
+        if labels.count(missing_label) > 1:
+            kept, dropped = [i for i, label in enumerate(labels) if label == missing_label]
+            remap = np.arange(len(labels))
+            remap[dropped] = kept
+            remap[dropped + 1:] -= 1
+            del labels[dropped]
+            codes = remap[codes]
+    return labels, codes
 
 
 def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
@@ -274,20 +336,13 @@ def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
         raise DataError(f"{path}: row {i + 2} has {fields[i]} fields, expected {ncols}")
 
 
-def _text_kind(width: int, limit: float) -> str:
-    """The numpy dtype for a text column whose widest cell has ``width``
-    characters: fixed-width str, which encodes several times faster than
-    Python strings, unless that cell is longer than ``limit``, the file's
-    mean line length, so that the array takes at most 4 bytes per file byte."""
-    return f"U{max(width, 1)}" if width <= limit else "O"
-
-
-def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> list[str]:
+def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> list[np.ndarray]:
     """Check the row lengths of CSV bytes without a quote character and
-    return each column's text dtype, sized by its widest cell in bytes (which
-    bounds its width in characters). A line ends at LF, CR or CRLF, as in
-    csv.reader: every CR and LF ends a line here, and the empty line inside a
-    CRLF is skipped with the blank lines."""
+    return the byte offsets of the data rows' delimiters, ncols + 1 arrays:
+    cell j of a row lies between its delimiters j and j + 1, the first of
+    which ends the line before. A line ends at LF, CR or CRLF, as in
+    csv.reader: every CR and LF ends a line here, and the empty line inside
+    a CRLF is skipped with the blank lines."""
     ends = np.flatnonzero((raw == ord("\r")) | (raw == ord("\n")))
     stops = np.append(ends, raw.size)
     starts = np.concatenate(([0], ends + 1))
@@ -297,21 +352,7 @@ def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> list[str]:
     _check_fields((last - first + 1)[1:][filled], ncols, path)
     # every data line now holds ncols - 1 commas, in file order
     bounds = commas[last[0]:].reshape(-1, ncols - 1)
-    widths = np.empty(ncols, dtype=np.int64)
-    widths[0] = (bounds[:, 0] - starts[1:][filled]).max()
-    widths[1:-1] = (np.diff(bounds, axis=1) - 1).max(axis=0)
-    widths[-1] = (stops[1:][filled] - bounds[:, -1] - 1).max()
-    return [_text_kind(int(w), raw.size / len(bounds)) for w in widths]
-
-
-def _loadtxt(fh, start: int, kinds: list[str]) -> np.ndarray:
-    """Every record after the header as one record array, field j of numpy
-    dtype kinds[j], parsed by numpy's C tokenizer: commas, double quotes, and
-    '#' an ordinary character. A record with a field too many or too few
-    raises ValueError."""
-    fh.seek(start)
-    dtype = np.dtype([(str(j), kind) for j, kind in enumerate(kinds)])
-    return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    return [starts[1:][filled] - 1, *bounds.T, stops[1:][filled]]
 
 
 def load_csv(path, outcome_column: str,
@@ -332,6 +373,11 @@ def load_csv(path, outcome_column: str,
             data = fh.read()
         if b"\0" in data:
             raise DataError(f"{path}: contains a NUL byte, so it is not UTF-8 CSV text")
+        if not data.isascii():
+            # most cells are keyed from their bytes and never decoded
+            data.decode("utf-8")
+        size = len(data)
+        data += _PAD
         with open(path, newline="", encoding="utf-8-sig") as fh:
             # readline, not iteration, keeps fh.tell() usable
             lines = csv.reader(iter(fh.readline, ""))
@@ -344,11 +390,15 @@ def load_csv(path, outcome_column: str,
             first = next(filter(None, lines), None)
             if first is None:
                 raise DataError(f"{path}: no data rows")
-            # with no quote character the bytes give the rows and the widths
-            text = (None if b'"' in data else
-                    _scan_unquoted(np.frombuffer(data, dtype=np.uint8), len(header), path))
-            del data
-            return _load_columns(fh, start, path, header, y_col, first, text, spec)
+            # a column may be numeric when its first cell is a number or empty
+            numeric = [j for j, cell in enumerate(first) if j != y_col
+                       and (cell == "" or _parse_numbers([cell]) is not None)]
+            if b'"' in data:
+                columns = _quoted_columns(fh, start, path, header, numeric)
+            else:
+                columns = _unquoted_columns(fh, start, path, data, size, header, numeric)
+        del data
+        return _encode_columns(header, y_col, columns, size, spec)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -371,52 +421,98 @@ def _check_header(header: list[str], outcome_column: str, path) -> int:
     return header.index(outcome_column)
 
 
-def _load_columns(fh, start: int, path, header: list[str], y_col: int,
-                  first: list[str], text: list[str] | None,
-                  spec: DiscretizationSpec) -> DiscreteDataset:
-    """Parse every column in one numpy pass and encode it. A column is read
-    as float64 when its first cell is a number or empty, else as text: of the
-    given dtypes, or as Python strings when the row lengths are unchecked."""
-    text = text or ["O"] * len(header)
-    maybe_numeric = [j for j, cell in enumerate(first) if j != y_col
-                     and (cell == "" or _parse_numbers([cell]) is not None)]
-    kinds = [("f8" if j in maybe_numeric else kind) for j, kind in enumerate(text)]
+def _loadtxt(fh, start: int, **kw) -> np.ndarray:
+    """The records after the header, parsed by numpy's C tokenizer: commas,
+    double quotes, and '#' an ordinary character. A record with a field too
+    few raises ValueError."""
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, **kw)
+
+
+def _unquoted_columns(fh, start: int, path, data: bytes, size: int, header: list[str],
+                      numeric: list[int]) -> list:
+    """The columns of CSV bytes without a double quote (``size`` bytes of
+    data, then its padding): parsed float64 cells for a numeric column, else
+    the cells' byte spans (data, lo, hi). One ``np.loadtxt`` pass parses the
+    numeric candidates, and none runs when there are none."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=size)
+    delimiters = _scan_unquoted(raw, len(header), path)
+    columns: list = [(data, lo, hi) for lo, hi in zip(delimiters, delimiters[1:])]
+    parsed: dict = {}
+    if numeric:
+        try:
+            parsed = dict(zip(numeric, _loadtxt(fh, start, usecols=numeric, ndmin=2).T))
+        except ValueError:
+            # numpy's float parser rejects an empty cell, and takes a subset
+            # of what float() takes; finding the columns it rejected would
+            # cost a pass per column, so float() decides every candidate's cells
+            pass
+    for j in numeric:
+        cells = parsed[j] if j in parsed else _parse_numbers(_cells(*columns[j]))
+        if cells is not None:
+            columns[j] = cells
+    return columns
+
+
+def _quoted_columns(fh, start: int, path, header: list[str], numeric: list[int]) -> list:
+    """The columns of CSV text with a double quote, in one numpy pass:
+    parsed float64 cells for a numeric column, else the cells' byte spans.
+    A candidate column is parsed as float64, the others as Python strings."""
+    def read(floats: list[int]) -> np.ndarray:
+        kinds = [(str(j), "f8" if j in floats else "O") for j in range(len(header))]
+        return _loadtxt(fh, start, dtype=np.dtype(kinds), ndmin=1)
+
     try:
-        records = _loadtxt(fh, start, kinds)
+        records = read(numeric)
     except ValueError:
         # numpy's float parser takes a subset of what float() takes. Finding
         # the rejected columns would cost a pass over the file per column, so
         # all the candidates are read as text and float() decides per cell
         try:
-            records = _loadtxt(fh, start, text)
+            records = read([])
         except ValueError as exc:
             # a row of the wrong length; csv.reader finds it to name it
             fh.seek(start)
             fields = np.array([len(row) for row in csv.reader(fh) if row])
             _check_fields(fields, len(header), path)
             raise DataError(f"{path}: {exc}") from exc
+    columns: list = []
+    for j in range(len(header)):
+        column = records[str(j)]
+        if column.dtype == np.float64:
+            columns.append(column)
+            continue
+        cells = column.tolist()
+        column[...] = None  # the cells' strings are freed once they are joined
+        parsed = _parse_numbers(cells) if j in numeric else None
+        columns.append(_spans(cells) if parsed is None else parsed)
+    return columns
 
-    outcome = _encode_outcome(records[str(y_col)], header[y_col])
 
+def _encode_columns(header: list[str], y_col: int, columns: list, size: int,
+                    spec: DiscretizationSpec) -> DiscreteDataset:
+    """Encode every column: the outcome to 0/1, a numeric column to quantile
+    bins, a text column to its distinct cells. ``size`` is the file's byte
+    count; a text column wider than a mean line keys Python strings."""
+    limit = size / len(columns[y_col][1])
+    outcome = _encode_outcome(*_distinct(*columns[y_col], limit), header[y_col])
     schemas: list[FeatureSchema] = []
-    columns: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
     for j, name in enumerate(header):
         if j == y_col:
             continue
-        column = records[str(j)]
-        parsed = column if column.dtype == np.float64 else None
-        if parsed is None and j in maybe_numeric:
-            parsed = _parse_numbers(column.tolist())
-        if parsed is not None:
-            labels, codes = _encode_numeric(name, parsed, spec.bins, spec.missing_label)
+        column = columns[j]
+        if isinstance(column, tuple):
+            labels, column_codes = _encode_text(*column, limit, spec.missing_label)
         else:
-            labels, codes = _encode_text(column, spec.missing_label)
+            labels, column_codes = _encode_numeric(name, column, spec.bins, spec.missing_label)
         schemas.append(FeatureSchema(name, tuple(labels)))
-        columns.append(codes)
+        codes.append(column_codes)
     # the dataset copies its codes: free the parsed cells first, so that the
     # copy does not raise the load's peak memory
-    del records, column
-    return DiscreteDataset(schemas, np.array(columns, dtype=np.int32).T, outcome, header[y_col])
+    columns.clear()
+    del column
+    return DiscreteDataset(schemas, np.array(codes, dtype=np.int32).T, outcome, header[y_col])
 
 
 def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyTable:

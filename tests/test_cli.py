@@ -58,7 +58,7 @@ class TestRankCommand:
         assert doc["kind"] == "ranking"
         scores = [e["score"] for e in doc["payload"]["entries"]]
         assert scores == sorted(scores, reverse=True)
-        assert "elapsed_ms" in doc["volatile"]
+        assert doc["volatile"]["elapsed_ms"] > 0 and doc["volatile"]["load_ms"] > 0
 
     def test_payload_round_trip_is_canonical(self, capsys, random_csv):
         path, _ = random_csv
@@ -109,8 +109,10 @@ class TestScanCommand:
         code, out = run(capsys, ["scan", "--input", path, "--outcome-col", "y",
                                  "--restarts", "5"])
         assert code == 0
-        payload = json.loads(out)["payload"]
+        doc = json.loads(out)
+        payload = doc["payload"]
         assert payload["kind"] == "scan"
+        assert all(doc["volatile"][key] > 0 for key in ("load_ms", "rank_ms", "scan_ms"))
         assert payload["score"] > 0
         assert 0 < payload["subset_size"] <= ds.n_records
         assert payload["subset_fraction"] == payload["subset_size"] / ds.n_records
@@ -149,8 +151,11 @@ class TestPipelineCommand:
             "--top-k", "5", "--restarts", "5", "--permutations", "30",
             "--threads", "4"])
         assert code == 0
-        payload = json.loads(out)["payload"]
+        doc = json.loads(out)
+        payload = doc["payload"]
         assert payload["kind"] == "pipeline"
+        assert all(doc["volatile"][key] > 0
+                   for key in ("load_ms", "rank_ms", "scan_ms", "p_value_ms"))
         assert payload["p_value"] <= 0.05
         assert payload["odds_ratio"] > 1
         assert payload["ci"][0] <= payload["odds_ratio"] <= payload["ci"][1]

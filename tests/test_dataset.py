@@ -1,5 +1,4 @@
 import csv
-import itertools
 import string
 import tracemalloc
 import warnings
@@ -26,6 +25,7 @@ from safs.dataset import (
     _encode_numeric,
     _encode_text,
     _keys,
+    _spans,
 )
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
@@ -274,6 +274,30 @@ class TestIngestRules:
         assert ds.decode(0, ds.codes[1000, 0]) == long_cell.strip('"')
         assert ds.schemas[0].cardinality == 8
 
+    @pytest.mark.parametrize("names, empty_x0, calls", [
+        ("t0,t1,y", False, 0), ("x0,x1,t0,t1,y", False, 1), ("x0,x1,t0,t1,y", True, 1)])
+    def test_np_loadtxt_parses_only_numeric_columns(self, tmp_path, monkeypatch,
+                                                    names, empty_x0, calls):
+        # the shape of the scan benchmark's inputs: numeric columns and short
+        # text columns. An empty numeric cell fails numpy's float parser, and
+        # then float() decides the numeric columns' cells
+        rng = np.random.default_rng(3)
+
+        def cell(name):
+            return {"x": f"{rng.lognormal():.5f}", "t": f"c{rng.integers(9)}",
+                    "y": str(rng.integers(2))}[name[0]]
+
+        rows = [[cell(name) for name in names.split(",")] for _ in range(300)]
+        if empty_x0:
+            rows[17][0] = ""
+        path = write(tmp_path, "\n".join([names] + [",".join(row) for row in rows]) + "\n")
+        seen = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
+        ds = load_csv(path, "y")
+        assert len(seen) == calls
+        assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == reference_load(path, "y")
+
     def test_bad_outcome_cell_names_its_row(self, tmp_path):
         with pytest.raises(DataError, match=r"row 3: 'maybe' is not a binary value"):
             load_csv(write(tmp_path, "x,c,y\n1.5,A,1\n2.5,B,maybe\n3.5,C,0\n"), "y")
@@ -325,23 +349,40 @@ def reference_load(path, outcome_column, spec=DiscretizationSpec()):
     return tuple(schemas), np.column_stack(columns).tolist(), outcome
 
 
-CELLS = ["", "1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١", "A", "b c", "#x",
-         "é", "🙂", '"q,1"', '"a""b"', '"n\nl"', '"2.5"', "⟨missing⟩"]
+NUMBERS = ["1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١"]
+CELLS = NUMBERS + ["", "A", "b c", "#x", "é", "🙂", '"q,1"', '"a""b"', '"n\nl"', '"2.5"',
+                   "⟨missing⟩"]
+# unquoted text cells of 0-20 UTF-8 bytes, on both sides of the 8-byte key
+# word, with 2- and 4-byte code points and leading and trailing spaces
+BYTE_TEXTS = st.text(st.sampled_from("ab é🙂"), max_size=20).map(
+    lambda text: text.encode()[:20].decode(errors="ignore"))
 
 
 @st.composite
 def csv_texts(draw):
     """CSV text close to the ingest rules' edges: numeric-looking, empty, quoted,
-    non-ASCII and '#' cells, a line ending drawn per line (so "\r\r\n" and
-    "\n\r" occur), blank lines and now and then a row of the wrong length or a
-    bad outcome cell."""
+    non-ASCII, '#' and unquoted text cells of up to 20 bytes, numeric-looking
+    columns with a later text or empty cell, a line ending drawn per line (so
+    "\r\r\n" and "\n\r" occur), blank lines and now and then a row of the
+    wrong length or a bad outcome cell."""
     n_features = draw(st.integers(1, 3))
     header = [f"c{j}" for j in range(n_features)] + ["y"]
-    column_cells = [draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4))
-                    for _ in range(n_features)]
+    column_cells, intruders = [], []
+    for _ in range(n_features):
+        if draw(st.booleans()):
+            column_cells.append(draw(st.lists(st.sampled_from(CELLS) | BYTE_TEXTS,
+                                              min_size=1, max_size=4)))
+            intruders.append(None)
+        else:
+            column_cells.append(draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=4)))
+            intruders.append(draw(st.sampled_from([None, "", "A", "1 x", "é"])))
+    rows = [[draw(st.sampled_from(cells)) for cells in column_cells]
+            for _ in range(draw(st.integers(1, 12)))]
+    for j, cell in enumerate(intruders):
+        if cell is not None and len(rows) > 1:
+            rows[draw(st.integers(1, len(rows) - 1))][j] = cell
     lines = [",".join(header)]
-    for _ in range(draw(st.integers(1, 12))):
-        row = [draw(st.sampled_from(cells)) for cells in column_cells]
+    for row in rows:
         row.append(draw(st.sampled_from(["0", "1", "1", "0", "true", " FALSE"])))
         if draw(st.integers(0, 40)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["x"]
@@ -366,9 +407,9 @@ def dict_encode(cells, missing_label):
 @st.composite
 def text_columns(draw):
     """A text column and its missing label. Cells hold up to a drawn number
-    of ASCII, 2-byte, BMP, astral and last code points, so some columns pack
-    into one int64 word and some do not; empty cells and cells equal to the
-    missing label are mixed in."""
+    of ASCII, 2-byte, BMP, astral and last code points, so some columns key
+    into one 64-bit word and some do not; empty cells and cells equal
+    to the missing label are mixed in."""
     missing_label = draw(st.sampled_from([DEFAULT_MISSING_LABEL, "a", "?"]))
     longest = draw(st.integers(0, 10))
     cell = st.one_of(
@@ -411,20 +452,24 @@ class TestIngestProperties:
     def test_encode_text_matches_a_dict(self, column):
         cells, missing_label = column
         expected = dict_encode(cells, missing_label)
-        for column in (np.array(cells), np.array(cells, dtype=object)):
-            labels, codes = _encode_text(column, missing_label)
+        # keyed by bytes, and as Python strings when a cell is over the limit
+        for limit in (np.inf, 0):
+            labels, codes = _encode_text(*_spans(cells), limit, missing_label)
             assert (labels, codes.tolist()) == expected
 
-    @pytest.mark.parametrize("alphabet, longest", [("\x01\x7f", 9),
-                                                   ("\x01a\x7f\u07ff\U0010ffff", 3)])
+    @pytest.mark.parametrize("longest", [3, 8, 9])
+    @pytest.mark.parametrize("alphabet", ["\x01\x7f", "\x01a\x7f\u07ff\U0010ffff"])
     def test_encode_text_keeps_every_distinct_cell(self, alphabet, longest):
-        # every string up to the longest, in shuffled order: code points that
-        # differ in the top or bottom bit, at every place of a full word
-        cells = ["".join(p) for k in range(1, longest + 1)
-                 for p in itertools.product(alphabet, repeat=k)]
+        # every string of up to the longest number of UTF-8 bytes, in shuffled
+        # order: bytes that differ in the top or bottom bit, at every place of
+        # a key word
+        cells, grown = [], [""]
+        while grown:
+            cells += grown
+            grown = [c + a for c in grown for a in alphabet if len((c + a).encode()) <= longest]
         cells = np.random.default_rng(0).permutation(cells * 2).tolist()
-        assert _keys(np.array(cells)).dtype == np.int64
-        labels, codes = _encode_text(np.array(cells), DEFAULT_MISSING_LABEL)
+        assert _keys(*_spans(cells), np.inf).dtype == ("S16" if longest > 8 else "uint64")
+        labels, codes = _encode_text(*_spans(cells), np.inf, DEFAULT_MISSING_LABEL)
         assert (labels, codes.tolist()) == dict_encode(cells, DEFAULT_MISSING_LABEL)
 
     @settings(max_examples=300, deadline=None)
