@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -65,39 +64,6 @@ def _load_and_rank(input_path: str, outcome_col: str, bins: int, missing_categor
     return dataset, ranking, t1 - t0, time.perf_counter() - t1
 
 
-@dataclass(frozen=True)
-class _ScanRun:
-    """One load -> rank -> top-K -> scan run."""
-
-    dataset: DiscreteDataset
-    ranking: FeatureRanking
-    features: list[int]
-    config: ScanConfig
-    result: ScanResult
-    load_seconds: float
-    rank_seconds: float
-
-    def payload(self) -> dict:
-        result = self.result
-        return {
-            "kind": "scan",
-            "method": self.ranking.method,
-            "top_k": len(self.features),
-            "direction": self.config.direction,
-            "restarts": self.config.restarts,
-            "seed": self.config.seed,
-            "descriptor": result.descriptor.to_labels(self.dataset),
-            "score": result.score,
-            "q_hat": result.q_hat if result.q_hat != float("inf") else "inf",
-            "subset_size": result.subset_size,
-            "subset_fraction": result.subset_size / self.dataset.n_records,
-        }
-
-    def volatile(self) -> dict:
-        return {"load_ms": self.load_seconds * 1000, "rank_ms": self.rank_seconds * 1000,
-                "scan_ms": self.result.elapsed * 1000, **_search_limits(self.result)}
-
-
 def _search_limits(result: ScanResult) -> dict:
     """How often the scan's search hit a limit (see ``ScanResult``)."""
     return {"fallback_starts": result.fallback_starts,
@@ -122,13 +88,29 @@ def _subgroup_fields(report: SubgroupReport, dataset: DiscreteDataset) -> dict:
 
 
 def _scan_run(k: int | None, restarts: int, direction: str, seed: int,
-              **load) -> _ScanRun:
-    """Scan the top-k ranked features (all of them when k is None)."""
+              **load) -> tuple[DiscreteDataset, ScanResult, dict, dict]:
+    """Scan the top-k ranked features (all of them when k is None): the
+    dataset, the result, and the ``scan`` artifact's payload and volatile."""
     dataset, ranking, load_seconds, rank_seconds = _load_and_rank(**load)
     features = top_k(ranking, dataset.n_features if k is None else k)
     config = ScanConfig(direction=direction, restarts=restarts, seed=seed)
-    return _ScanRun(dataset, ranking, features, config,
-                    scan(dataset, features, config), load_seconds, rank_seconds)
+    result = scan(dataset, features, config)
+    payload = {
+        "kind": "scan",
+        "method": ranking.method,
+        "top_k": len(features),
+        "direction": config.direction,
+        "restarts": config.restarts,
+        "seed": config.seed,
+        "descriptor": result.descriptor.to_labels(dataset),
+        "score": result.score,
+        "q_hat": result.q_hat if result.q_hat != float("inf") else "inf",
+        "subset_size": result.subset_size,
+        "subset_fraction": result.subset_size / dataset.n_records,
+    }
+    volatile = {"load_ms": load_seconds * 1000, "rank_ms": rank_seconds * 1000,
+                "scan_ms": result.elapsed * 1000, **_search_limits(result)}
+    return dataset, result, payload, volatile
 
 
 def _ranking_payload(dataset, ranking: FeatureRanking, selected: list[int] | None) -> dict:
@@ -239,11 +221,11 @@ def rank_command(out, fmt, **kw):
 @_top_k_option
 def scan_command(top_k, out, fmt, **kw):
     """Rank, select top-K features, and scan for the most divergent subgroup."""
-    run = _scan_run(top_k, **kw)
+    dataset, result, payload, volatile = _scan_run(top_k, **kw)
     if fmt == "text":
-        text = report_text(build_report(run.dataset, run.result), run.dataset) + "\n"
+        text = report_text(build_report(dataset, result), dataset) + "\n"
     else:
-        text = canonical_json(_document("scan", run.payload(), run.volatile()))
+        text = canonical_json(_document("scan", payload, volatile))
     _emit(text, out)
 
 
@@ -259,16 +241,15 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
     """Full run: rank, scan, permutation test, subgroup report."""
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
-    run = _scan_run(top_k, **kw)
+    dataset, result, payload, volatile = _scan_run(top_k, **kw)
     t0 = time.perf_counter()
-    p_value = empirical_p_value(run.result, permutations)
+    p_value = empirical_p_value(result, permutations)
     p_value_ms = (time.perf_counter() - t0) * 1000
-    report = build_report(run.dataset, run.result, p_value)
-    payload = {**run.payload(), **_subgroup_fields(report, run.dataset), "kind": "pipeline",
-               "permutations": permutations, "no_divergence": run.result.no_divergence}
-    doc = _document("pipeline", payload, {**run.volatile(), "p_value_ms": p_value_ms})
-    _emit(report_text(report, run.dataset) + "\n" if fmt == "text" else canonical_json(doc),
-          out)
+    report = build_report(dataset, result, p_value)
+    payload = {**payload, **_subgroup_fields(report, dataset), "kind": "pipeline",
+               "permutations": permutations, "no_divergence": result.no_divergence}
+    doc = _document("pipeline", payload, {**volatile, "p_value_ms": p_value_ms})
+    _emit(report_text(report, dataset) + "\n" if fmt == "text" else canonical_json(doc), out)
 
 
 @cli.command("compare")

@@ -20,16 +20,18 @@ empty, as float64, in one pass of numpy's C tokenizer over the file; it does
 not run when there are none. Where numpy's float parser rejects a cell (an
 empty cell, ``1_000``, non-ASCII digits, a text cell below a number),
 ``float()`` decides per cell for every such column, from cells decoded from
-their spans. A file with a double quote is parsed by one ``np.loadtxt`` pass
-over every column (float64 candidates, Python strings otherwise, and all
-strings again if a float is rejected); its text columns are joined into byte
-buffers and keyed the same way. Each numeric column is binned with one
-quantile and one comparison per bin edge.
+their spans. A file with a double quote is parsed by ``np.loadtxt`` over
+every column (float64 candidates, Python strings otherwise), again as all
+strings if a float is rejected, and by ``csv.reader`` to name a row of the
+wrong length; its text columns are joined into byte buffers and keyed the
+same way. Each numeric column is binned with one quantile and one comparison
+per bin edge.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -455,9 +457,9 @@ def _unquoted_columns(fh, start: int, path, data: bytes, size: int, header: list
 
 
 def _quoted_columns(fh, start: int, path, header: list[str], numeric: list[int]) -> list:
-    """The columns of CSV text with a double quote, in one numpy pass:
-    parsed float64 cells for a numeric column, else the cells' byte spans.
-    A candidate column is parsed as float64, the others as Python strings."""
+    """The columns of CSV text with a double quote: parsed float64 cells for
+    a numeric column, else the cells' byte spans. One ``np.loadtxt`` pass
+    parses a candidate column as float64 and the others as Python strings."""
     def read(floats: list[int]) -> np.ndarray:
         kinds = [(str(j), "f8" if j in floats else "O") for j in range(len(header))]
         return _loadtxt(fh, start, dtype=np.dtype(kinds), ndmin=1)
@@ -515,8 +517,17 @@ def _encode_columns(header: list[str], y_col: int, columns: list, size: int,
     return DiscreteDataset(schemas, np.array(codes, dtype=np.int32).T, outcome, header[y_col])
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int: numpy integers pass, a float raises, none is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{what} must be an integer, got {value!r}") from None
+
+
 def stratify(dataset: DiscreteDataset, feature: int, value: int) -> ContingencyTable:
     """2x2 contingency table of (feature == value) against the outcome."""
+    feature, value = _index(feature, "feature index"), _index(value, "value code")
     if not 0 <= feature < dataset.n_features:
         raise DataError(f"feature index {feature} out of range")
     if not 0 <= value < dataset.schemas[feature].cardinality:
@@ -535,10 +546,10 @@ def _validate_constraints(constraints: Mapping[int, Iterable[int]],
     items = dict(constraints)
     out: dict[int, frozenset[int]] = {}
     for key in sorted(items):
-        feature = int(key)
+        feature = _index(key, "feature index")
         if dataset is not None and not 0 <= feature < dataset.n_features:
             raise DataError(f"descriptor references unknown feature index {feature}")
-        values = frozenset(int(v) for v in items[key])
+        values = frozenset(_index(v, "value code") for v in items[key])
         if not values:
             raise DataError(f"descriptor has an empty value set for feature {feature}")
         if dataset is not None and not all(

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DiscreteDataset
+from .dataset import DiscreteDataset, _index
 from .errors import DataError
 from .ranking import FeatureRanking, top_k
 from .report import SubgroupReport, build_report, empirical_p_value
@@ -89,7 +89,7 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
     """Scan each top-K prefix of a ranking, timing each scan and comparing its
     matched records against the full-feature (K = M) run; entries keep no search."""
     m = dataset.n_features
-    ks = [int(k) for k in k_values]
+    ks = [_index(k, "k") for k in k_values]
     if not ks or any(k < 1 or k > m for k in ks):
         raise DataError(f"k values must lie in [1, {m}]")
     if ks != sorted(ks) or len(set(ks)) != len(ks):

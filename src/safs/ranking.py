@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ContingencyTable, DiscreteDataset, table_cells
+from .dataset import ContingencyTable, DiscreteDataset, _index, table_cells
 from .errors import DataError
 
 METHOD_SAFS = "safs"
@@ -125,6 +125,7 @@ def mutual_information_rank(dataset: DiscreteDataset) -> FeatureRanking:
 
 def top_k(ranking: FeatureRanking, k: int) -> list[int]:
     """First k feature indices of the ranking, order preserved."""
+    k = _index(k, "k")
     if not 1 <= k <= len(ranking.entries):
         raise DataError(f"k must be in [1, {len(ranking.entries)}], got {k}")
     return ranking.features[:k]

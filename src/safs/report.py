@@ -6,16 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import ContingencyTable, DiscreteDataset, table_cells
 from .errors import DataError
 from .scanner import ScanResult
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-# domain separator so permutation draws never collide with scan restarts
-_PERMUTE_KEY = 0x70657200
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,7 @@ def empirical_p_value(result: ScanResult, permutations: int = 100) -> float:
         raise DataError("observed score is nan")
     if (search := result._search) is None:
         raise DataError("the result keeps no search to rerun: only scan() results do")
-    y = search.kernel.outcome
-    seeds = np.random.SeedSequence([_PERMUTE_KEY, search.seed]).spawn(permutations)
-    scores = search.best_scores(y[np.random.default_rng(s).permutation(y.size)] for s in seeds)
-    exceed = sum(1 for s in scores if s >= result.score)
+    exceed = sum(1 for s in search.permuted_scores(permutations) if s >= result.score)
     return (1 + exceed) / (permutations + 1)
 
 

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import DiscreteDataset, _validate_constraints, constraints_bool_mask
+from .dataset import DiscreteDataset, _index, _validate_constraints, constraints_bool_mask
 from .errors import DataError, SearchSpaceError
 
 OVER = "over"
@@ -43,6 +43,8 @@ _NOISE_PER_RECORD = 4 * sys.float_info.epsilon
 _BRUTE_FORCE_GUARD = 10_000_000
 # cap on coordinate-ascent passes per restart
 _MAX_PASSES = 50
+# domain separator so permutation draws never collide with scan restarts
+_PERMUTE_KEY = 0x70657200
 # a step counts a feature with at most this many categories by bit_count
 # and a wider one by bincount. Both counts are exact, so no answer depends
 # on it. Per step (median of alternating calls, the other constraints
@@ -466,7 +468,7 @@ def _ascend(kernel: _ScanKernel, restart: _Restart) -> tuple[float, bool]:
 
 
 def _validate_features(dataset: DiscreteDataset, features: Sequence[int]) -> list[int]:
-    feats = [int(f) for f in features]
+    feats = [_index(f, "feature index") for f in features]
     if not feats:
         raise DataError("feature list is empty")
     if len(set(feats)) != len(feats):
@@ -477,19 +479,23 @@ def _validate_features(dataset: DiscreteDataset, features: Sequence[int]) -> lis
     return feats
 
 
-def _best_of_restarts(kernel: _ScanKernel, plan: Sequence[_Restart]
-                      ) -> tuple[float, SubgroupDescriptor, int, int]:
-    """Best (score, descriptor, record bitmask) over a plan's restarts, and
-    the number of ascents cut off at ``_MAX_PASSES``. The score is the
-    carried one, equal to the descriptor's rescoring. Ties go to the smaller
-    :meth:`SubgroupDescriptor.sort_key`."""
-    found, truncated = [], 0
+class _Climb(NamedTuple):
+    """One restart's ascent: its final score, constraints and record bitmask,
+    and whether ``_MAX_PASSES`` cut it off while still improving."""
+
+    score: float
+    constraints: dict[int, frozenset[int]]
+    matched: int
+    cut_off: bool
+
+
+def _climb(kernel: _ScanKernel, plan: Sequence[_Restart]) -> list[_Climb]:
+    """Climb every restart of a plan on the kernel's current labels, in order."""
+    climbs = []
     for restart in plan:
         score, cut_off = _ascend(kernel, restart)
-        truncated += cut_off
-        found.append((score, SubgroupDescriptor(kernel.constraints), kernel._matching()))
-    score, descriptor, matched = min(found, key=lambda d: (-d[0], d[1].sort_key()))
-    return score, descriptor, matched, truncated
+        climbs.append(_Climb(score, dict(kernel.constraints), kernel._matching(), cut_off))
+    return climbs
 
 
 class _Search(NamedTuple):
@@ -499,16 +505,19 @@ class _Search(NamedTuple):
     plan: list[_Restart]
     seed: int
 
-    def best_scores(self, outcomes: Iterable[np.ndarray]) -> list[float]:
-        """The scan's score per outcome (each keeping the positives); labels restored after."""
+    def permuted_scores(self, permutations: int) -> list[float]:
+        """The scan's best score under each of ``permutations`` label
+        permutations, seeded from the scan's seed apart from its restart
+        stream; the labels are restored after."""
+        y = self.kernel.outcome
         try:
             scores = []
-            for y in outcomes:
-                self.kernel.relabel(y)
-                scores.append(max(_ascend(self.kernel, restart)[0] for restart in self.plan))
+            for s in np.random.SeedSequence([_PERMUTE_KEY, self.seed]).spawn(permutations):
+                self.kernel.relabel(y[np.random.default_rng(s).permutation(y.size)])
+                scores.append(max(c.score for c in _climb(self.kernel, self.plan)))
             return scores
         finally:
-            self.kernel.relabel(self.kernel.outcome)
+            self.kernel.relabel(y)
 
 
 def scan(dataset: DiscreteDataset, features: Sequence[int],
@@ -523,11 +532,15 @@ def scan(dataset: DiscreteDataset, features: Sequence[int],
     t0 = time.perf_counter()
     kernel = _ScanKernel(dataset, features, config.direction)
     plan = _restart_plan(kernel, config)
-    _, descriptor, matched, truncated = _best_of_restarts(kernel, plan)
-    return _result_from(dataset, descriptor, matched, config.direction,
+    climbs = _climb(kernel, plan)
+    # ties go to the smaller sort_key
+    best, descriptor = min(((c, SubgroupDescriptor(c.constraints)) for c in climbs),
+                           key=lambda p: (-p[0].score, p[1].sort_key()))
+    return _result_from(dataset, descriptor, best.matched, config.direction,
                         time.perf_counter() - t0,
                         fallback_starts=sum(r.fell_back for r in plan),
-                        truncated_ascents=truncated, _search=_Search(kernel, plan, config.seed))
+                        truncated_ascents=sum(c.cut_off for c in climbs),
+                        _search=_Search(kernel, plan, config.seed))
 
 
 def _bits_from_bool(mask: np.ndarray) -> int:

@@ -18,15 +18,18 @@ from safs import (
     empirical_p_value,
     optimize_feature,
     q_mle,
+    safs_rank,
     scan,
     score_subgroup,
+    stratify,
     subgroup_mask,
+    sweep_k,
+    top_k,
 )
 from safs.dataset import constraints_bool_mask
-from safs.report import _PERMUTE_KEY
 from safs import scanner
-from safs.scanner import (_BITS_MAX_CARD, _MAX_PASSES, _ascend, _best_of_restarts,
-                           _random_descriptor, _Restart, _restart_plan, _ScanKernel,
+from safs.scanner import (_BITS_MAX_CARD, _MAX_PASSES, _PERMUTE_KEY, _ascend, _bits_from_bool,
+                           _climb, _random_descriptor, _Restart, _restart_plan, _ScanKernel,
                            _score_counts)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
@@ -255,9 +258,11 @@ class TestScan:
             scores = []
             for r in (1, 2, 3):
                 config = ScanConfig(direction=direction, restarts=r)
-                score, descriptor, _, _ = _best_of_restarts(kernel,
-                                                            _restart_plan(kernel, config))
-                assert score == score_subgroup(ds, descriptor, direction)[0]
+                climbs = _climb(kernel, _restart_plan(kernel, config))
+                for climb in climbs:
+                    descriptor = SubgroupDescriptor(climb.constraints)
+                    assert climb.score == score_subgroup(ds, descriptor, direction)[0]
+                score = max(climb.score for climb in climbs)
                 scores.append(score)
             assert scores == sorted(scores)
             assert scan(ds, feats, config).score == score
@@ -290,9 +295,25 @@ class TestScan:
             scan(ds, [0, 0], ScanConfig())
         with pytest.raises(DataError, match="out of range"):
             scan(ds, [0, ds.n_features], ScanConfig())
+        # numpy integers are indices
+        assert (scan(ds, np.arange(2, dtype=np.int8), ScanConfig()).descriptor
+                == scan(ds, [0, 1], ScanConfig()).descriptor)
         degenerate = make_dataset([2], [[0], [1]], [0, 0])
         with pytest.raises(DataError):
             scan(degenerate, [0], ScanConfig())
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda ds: scan(ds, [0.9, 1.5]), "0.9"),
+        (lambda ds: SubgroupDescriptor({0.7: {1.9}}), "0.7"),
+        (lambda ds: subgroup_mask(ds, {0: [0.5]}), "0.5"),
+        (lambda ds: sweep_k(ds, safs_rank(ds), [1.8, 2.2], ScanConfig(restarts=1)), "1.8"),
+        (lambda ds: top_k(safs_rank(ds), 1.5), "1.5"),
+        (lambda ds: stratify(ds, 0, 1.0), "1.0"),
+    ])
+    def test_non_integer_indices_are_rejected(self, call, value):
+        # int() would truncate each of these to a valid index
+        with pytest.raises(DataError, match=f"must be an integer, got {value}$"):
+            call(random_dataset(1))
 
     @pytest.mark.parametrize("kwargs, message", [({"restarts": 0}, "restarts"),
                                                  ({"seed": -1}, "seed")])
@@ -557,16 +578,17 @@ class TestRelabelledScores:
                                          ds.outcome_name), feats, config).score
                     for order in orders]
         result = scan(ds, feats, config)
-        assert result._search.best_scores(ds.outcome[order] for order in orders) == expected
+        assert result._search.permuted_scores(permutations) == expected
         exceed = sum(1 for s in expected if s >= result.score)
         assert empirical_p_value(result, permutations) == (1 + exceed) / (permutations + 1)
 
 
 def reference_scan(dataset, features, config):
-    """(score, descriptor) of the restart loop without a plan or a memo: a
-    generator per restart, up to 100 random starts before the unconstrained
-    fallback, a fresh ``rng.permutation`` per pass, and every step and score
-    recomputed from the records by ``reference_step`` and ``score_subgroup``."""
+    """(score, descriptor, cut off) of each restart of the restart loop
+    without a plan or a memo: a generator per restart, up to 100 random
+    starts before the unconstrained fallback, a fresh ``rng.permutation`` per
+    pass, and every step and score recomputed from the records by
+    ``reference_step`` and ``score_subgroup``."""
     cards = {f: dataset.schemas[f].cardinality for f in features}
     found = []
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
@@ -579,16 +601,43 @@ def reference_scan(dataset, features, config):
                     descriptor = drawn
                     break
         score = score_subgroup(dataset, descriptor, config.direction)[0]
-        for _ in range(_MAX_PASSES):
+        cut_off = True
+        for _ in range(scanner._MAX_PASSES):
             start = score
             for f in rng.permutation(np.asarray(features)).tolist():
                 values = reference_step(dataset, descriptor, f, config.direction)
                 descriptor = descriptor.replace(f, values)
                 score = score_subgroup(dataset, descriptor, config.direction)[0]
             if score <= start:
+                cut_off = False
                 break
-        found.append((score, descriptor))
-    return min(found, key=lambda d: (-d[0], d[1].sort_key()))
+        found.append((score, descriptor, cut_off))
+    return found
+
+
+def best_restart(found):
+    """(score, descriptor) of the winning restart: ties go to the smaller sort key."""
+    score, descriptor, _ = min(found, key=lambda d: (-d[0], d[1].sort_key()))
+    return score, descriptor
+
+
+def check_restarts(dataset, features, config):
+    """Scan, and check the scan and each of its restarts against
+    ``reference_scan``; returns the scan's result."""
+    got = scan(dataset, features, config)
+    found = reference_scan(dataset, features, config)
+    assert (got.score, got.descriptor) == best_restart(found)
+    assert got.truncated_ascents == sum(cut_off for _, _, cut_off in found)
+    check_climbs(dataset, _climb(got._search.kernel, got._search.plan), found)
+    return got
+
+
+def check_climbs(dataset, climbs, found):
+    """``_climb``'s records equal ``reference_scan``'s restart by restart, and
+    each bitmask holds the records its constraints match."""
+    assert [(c.score, SubgroupDescriptor(c.constraints), c.cut_off) for c in climbs] == found
+    for c in climbs:
+        assert c.matched == _bits_from_bool(constraints_bool_mask(dataset, c.constraints))
 
 
 @st.composite
@@ -615,14 +664,23 @@ class TestRestartPlan:
     def test_plan_and_memo_match_the_per_restart_loop(self, case, permutations):
         ds, config = case
         feats = list(range(ds.n_features))
-        got = scan(ds, feats, config)
-        assert (got.score, got.descriptor) == reference_scan(ds, feats, config)
+        got = check_restarts(ds, feats, config)
         seeds = np.random.SeedSequence([_PERMUTE_KEY, config.seed]).spawn(permutations)
         orders = [np.random.default_rng(s).permutation(ds.n_records) for s in seeds]
         expected = [reference_scan(DiscreteDataset(ds.schemas, ds.codes, ds.outcome[order],
-                                                   ds.outcome_name), feats, config)[0]
+                                                   ds.outcome_name), feats, config)
                     for order in orders]
-        assert got._search.best_scores(ds.outcome[order] for order in orders) == expected
+        assert (got._search.permuted_scores(permutations)
+                == [best_restart(found)[0] for found in expected])
+        kernel, plan = got._search.kernel, got._search.plan
+        for order, found in zip(orders, expected):
+            kernel.relabel(ds.outcome[order])
+            check_climbs(ds, _climb(kernel, plan), found)
+        kernel.relabel(ds.outcome)
+        # ascents cut off after one pass
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scanner, "_MAX_PASSES", 1)
+            check_restarts(ds, feats, config)
 
     def test_memo_is_shared_by_replicates(self):
         ds = planted_dataset(0, n=500, n_noise=3)[0]
@@ -663,8 +721,8 @@ class TestSearchLimits:
         full = scan(ds, [0, 1, 2, 3], config)
         monkeypatch.setattr(scanner, "_MAX_PASSES", 1)
         # from the unconstrained start the first pass always improves here
-        cut = scan(ds, [0, 1, 2, 3], config)
-        assert 1 <= cut.truncated_ascents <= 4
+        cut = check_restarts(ds, [0, 1, 2, 3], config)
+        assert cut.truncated_ascents >= 1
         assert full.truncated_ascents == 0
         assert brute_force_scan(ds, [0, 1, 2], OVER).truncated_ascents == 0
 
