@@ -1,11 +1,13 @@
 import csv
+import math
+import re
 import string
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safs import (
@@ -19,9 +21,11 @@ from safs import (
     stratify,
     subgroup_mask,
 )
+from safs import dataset
 from safs.dataset import (
     DEFAULT_MISSING_LABEL,
     _bin_labels,
+    _decimals,
     _encode_numeric,
     _encode_text,
     _keys,
@@ -275,27 +279,31 @@ class TestIngestRules:
         assert ds.schemas[0].cardinality == 8
 
     @pytest.mark.parametrize("names, empty_x0, calls", [
-        ("t0,t1,y", False, 0), ("x0,x1,t0,t1,y", False, 1), ("x0,x1,t0,t1,y", True, 1)])
+        ("t0,t1,y", False, 0), ("x0,x1,t0,t1,y", False, 0), ("x0,x1,t0,t1,y", True, 0),
+        ("w0,w1,t0,t1,y", False, 1)])
     def test_np_loadtxt_parses_only_numeric_columns(self, tmp_path, monkeypatch,
                                                     names, empty_x0, calls):
-        # the shape of the scan benchmark's inputs: numeric columns and short
-        # text columns. An empty numeric cell fails numpy's float parser, and
-        # then float() decides the numeric columns' cells
+        # the shape of the scan benchmark's inputs: short decimal columns (x),
+        # which the word parse reads, an empty cell among them, and short text
+        # columns. Wide %.8f decimals (w) are declined on every row, so one
+        # np.loadtxt pass parses them
         rng = np.random.default_rng(3)
 
         def cell(name):
-            return {"x": f"{rng.lognormal():.5f}", "t": f"c{rng.integers(9)}",
-                    "y": str(rng.integers(2))}[name[0]]
+            return {"x": f"{rng.lognormal():.5f}", "w": f"{rng.lognormal():.8f}",
+                    "t": f"c{rng.integers(9)}", "y": str(rng.integers(2))}[name[0]]
 
         rows = [[cell(name) for name in names.split(",")] for _ in range(300)]
         if empty_x0:
             rows[17][0] = ""
         path = write(tmp_path, "\n".join([names] + [",".join(row) for row in rows]) + "\n")
-        seen = []
-        loadtxt = np.loadtxt
+        seen, decoded = [], []
+        loadtxt, cells = np.loadtxt, dataset._cells
         monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
+        monkeypatch.setattr(dataset, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
         ds = load_csv(path, "y")
-        assert len(seen) == calls
+        assert [kw["usecols"] for kw in seen] == [[0, 1]] * calls
+        assert decoded == []  # float() decided no cell
         assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == reference_load(path, "y")
 
     def test_bad_outcome_cell_names_its_row(self, tmp_path):
@@ -349,7 +357,10 @@ def reference_load(path, outcome_column, spec=DiscretizationSpec()):
     return tuple(schemas), np.column_stack(columns).tolist(), outcome
 
 
-NUMBERS = ["1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١"]
+# plain decimals on both sides of the 8-byte word, and cells float() takes
+# that the word parse declines
+NUMBERS = ["1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١", "-0.0", ".5", "5.", "12345678",
+           "123.45678", "0.30000000000000004"]
 CELLS = NUMBERS + ["", "A", "b c", "#x", "é", "🙂", '"q,1"', '"a""b"', '"n\nl"', '"2.5"',
                    "⟨missing⟩"]
 # unquoted text cells of 0-20 UTF-8 bytes, on both sides of the 8-byte key
@@ -471,6 +482,24 @@ class TestIngestProperties:
         assert _keys(*_spans(cells), np.inf).dtype == ("S16" if longest > 8 else "uint64")
         labels, codes = _encode_text(*_spans(cells), np.inf, DEFAULT_MISSING_LABEL)
         assert (labels, codes.tolist()) == dict_encode(cells, DEFAULT_MISSING_LABEL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.text("0123456789.-+e _", max_size=10) | st.builds(
+        format, st.floats(), st.sampled_from(["", "g", ".3g", ".0f", ".2f", ".5f", ".8f", ".2e"])),
+        min_size=1, max_size=30))
+    @example(cells=["-0", "-0.0", ".5", "5.", "-.5", ".", "-", "00000000", "99999999",
+                    "-9999999", "1234.5678", "123456789", ""])
+    def test_word_parse_is_float_or_declines(self, cells):
+        values, parsed = _decimals(*_spans(cells))
+        for cell, value, done in zip(cells, values.tolist(), parsed.tolist()):
+            if cell == "":
+                assert done and math.isnan(value)
+                continue
+            plain = re.fullmatch(r"-?[0-9]*\.?[0-9]*", cell) and re.search("[0-9]", cell)
+            # every plain decimal of up to 8 bytes is parsed, and nothing else
+            assert done == bool(plain and len(cell) <= 8), cell
+            if done:
+                assert value.hex() == float(cell).hex(), cell
 
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts())
