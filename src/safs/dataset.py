@@ -4,16 +4,32 @@ Records are stored as integer category codes, column-major so that each
 feature's column is contiguous, plus a binary outcome vector. The dataset is
 immutable after construction and safe to share across threads.
 
-Ingest cost. ``load_csv`` reads the file's bytes once. Without a double
-quote, numpy finds their line ends and commas with elementwise passes,
-O(bytes), which check the row lengths and give every cell's byte span. A
-text column, the outcome too, is keyed from those bytes: a cell of at most 8
-bytes is one 64-bit word read at its start, a wider cell a fixed-width bytes
-string of such words. One argsort of the keys encodes the column in
-first-appearance order, O(N log N) integer work with no string built; only
-each category's first cell is decoded, for its label. Python strings are
-built only for a column whose widest cell is longer than the file's mean
-line, which bounds the keys at about one byte per file byte.
+Ingest cost. ``load_csv`` reads the file's bytes once. numpy finds their
+line ends and commas with elementwise passes, O(bytes), which check the row
+lengths and give every cell's byte span. A text column, the outcome too, is
+keyed from those bytes: a cell of at most 8 bytes is one 64-bit word read at
+its start, a wider cell a fixed-width bytes string of such words. One
+argsort of the keys encodes the column in first-appearance order, O(N log N)
+integer work with no string built; only each category's first cell is
+decoded, for its label. Python strings are built only for a column whose
+widest cell is longer than the file's mean line, which bounds the keys at
+about one byte per file byte.
+
+Quotes are read as ``csv.reader`` reads them, over runs of adjacent quote
+bytes and with whole-array passes, O(bytes + quotes). A run opens a quoted
+cell when it starts a cell: it follows a comma or a line end outside quotes,
+or starts the text. Inside a quoted cell each pair of quotes is one literal
+quote, and a run of odd length closes the cell at its last quote; text after
+a closing quote joins the cell (``"ab"cd`` is ``abcd``), and any other quote
+is text (``5'10"``, ``a""b``). A cell that is never closed runs to the end of
+the file. An even run leaves the state as it is, an odd run at a cell start
+flips it and any other odd run resets it to outside, so the state after a
+run is the parity of the flips since the last reset, a cumulative XOR over
+the runs. Only commas and line ends outside quoted cells delimit; a
+cumulative XOR over the bytes marks those inside. A quoted cell's span
+moves in past its quotes, and only a cell that holds a doubled quote or text
+after its closing quote is copied, unescaped, to a buffer after the file's
+bytes; a file without a quote runs none of this.
 
 A numeric candidate, a column whose first cell is a number or empty, is
 parsed from the same words, in blocks of 64k cells: a cell of at most 8
@@ -25,17 +41,13 @@ declined cells are fewer than the rows, ``float()`` decides each one,
 decoded from its span; else one ``np.loadtxt`` pass of numpy's C tokenizer
 parses the candidates that hold them, as float64, and where numpy's float
 parser rejects a cell (an empty cell, ``1_000``, non-ASCII digits, a text
-cell below a number) ``float()`` decides every cell of those columns.
-
-A file with a double quote is parsed by ``np.loadtxt`` over every column
-(float64 candidates, Python strings otherwise), again as all strings if a
-float is rejected, and by ``csv.reader`` to name a row of the wrong length;
-its text columns are joined into byte buffers and keyed the same way. Each
+cell below a number) ``float()`` decides every cell of those columns. Each
 numeric column is binned with one quantile and one comparison per bin edge.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import operator
 from dataclasses import dataclass
@@ -246,20 +258,20 @@ _PAD = bytes(8)
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _spans(cells: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """Python strings as the byte spans of one buffer, joined by NUL."""
-    data = "\0".join(cells).encode()
-    nuls = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
-    return data + _PAD, np.append(-1, nuls), np.append(nuls, len(data))
+def _picks(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte offsets of the cells at spans lo, hi, each cell's bytes and
+    then its delimiter at hi, in one array, and where each cell's part of it
+    ends."""
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    return np.arange(int(ends[-1])) + np.repeat(hi + 1 - ends, sizes), ends
 
 
 def _cells(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
     """A column's cells at byte spans of UTF-8 data, decoded."""
     # each cell's bytes and the delimiter after it, which becomes a NUL, are
     # gathered into one buffer; one decode and one split build the strings
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    picks = np.arange(int(ends[-1])) + np.repeat(hi + 1 - ends, sizes)
+    picks, ends = _picks(lo, hi)
     joined = np.frombuffer(data, dtype=np.uint8)[picks]
     joined[ends - 1] = 0
     return joined.tobytes().decode().split("\0")[:-1]
@@ -420,23 +432,126 @@ def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
         raise DataError(f"{path}: row {i + 2} has {fields[i]} fields, expected {ncols}")
 
 
-def _scan_unquoted(raw: np.ndarray, ncols: int, path) -> list[np.ndarray]:
-    """Check the row lengths of CSV bytes without a quote character and
-    return the byte offsets of the data rows' delimiters, ncols + 1 arrays:
-    cell j of a row lies between its delimiters j and j + 1, the first of
-    which ends the line before. A line ends at LF, CR or CRLF, as in
-    csv.reader: every CR and LF ends a line here, and the empty line inside
-    a CRLF is skipped with the blank lines."""
+def _scan(data: bytes, size: int, ncols: int, path) -> list[tuple]:
+    """Check the row lengths of CSV bytes (``size`` bytes of data, then its
+    padding) and return each column's cells as byte spans (data, lo, hi):
+    cell i is data[lo[i] + 1:hi[i]]. An unquoted cell lies between its
+    delimiters, the first of which ends the line before in the first
+    column; ``_unquote`` moves a quoted cell's span. A line ends at LF, CR
+    or CRLF, as in csv.reader: every CR and LF outside quotes ends a line
+    here, and the empty line inside a CRLF is skipped with the blank lines."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=size)
     ends = np.flatnonzero((raw == ord("\r")) | (raw == ord("\n")))
+    commas = np.flatnonzero(raw == ord(","))
+    quoted = b'"' in data
+    if quoted:
+        in_quotes, *runs = _quotes(raw, 3 if data.startswith(codecs.BOM_UTF8) else 0)
+        ends, commas = ends[~in_quotes[ends]], commas[~in_quotes[commas]]
     stops = np.append(ends, raw.size)
     starts = np.concatenate(([0], ends + 1))
-    commas = np.flatnonzero(raw == ord(","))
     first, last = np.searchsorted(commas, starts), np.searchsorted(commas, stops)
     filled = stops[1:] > starts[1:]  # line 0 is the header; blank lines are skipped
     _check_fields((last - first + 1)[1:][filled], ncols, path)
     # every data line now holds ncols - 1 commas, in file order
     bounds = commas[last[0]:].reshape(-1, ncols - 1)
-    return [starts[1:][filled] - 1, *bounds.T, stops[1:][filled]]
+    lo, hi = [starts[1:][filled] - 1, *bounds.T], [*bounds.T, stops[1:][filled]]
+    if quoted:
+        data, lo, hi = _unquote(data, size, lo[0], bounds, hi[-1], in_quotes, *runs)
+    return [(data, a, b) for a, b in zip(lo, hi)]
+
+
+def _quotes(raw: np.ndarray, origin: int) -> tuple[np.ndarray, ...]:
+    """Where csv.reader's quoted cells lie in CSV bytes with a quote, whose
+    text starts at byte ``origin``: a mask of the bytes inside a quoted
+    cell (at a quote, whether one is open after the quote's run), and the
+    runs of adjacent quote bytes, as their starts, their lengths and
+    whether each starts a cell.
+
+    A run starts a cell when it starts the text or follows a comma, CR or
+    LF. The runs decide the state on their own: an even run leaves it as it
+    is, an odd run at a cell start flips it (it opens a cell, or closes one
+    at a comma inside it), and any other odd run resets it to outside (it
+    closes a cell, or is text).
+    """
+    quotes = np.flatnonzero(raw == ord('"'))
+    head = np.ones(quotes.size + 1, dtype=bool)
+    np.not_equal(np.diff(quotes), 1, out=head[1:-1])
+    heads = np.flatnonzero(head)
+    start, length = quotes[heads[:-1]], np.diff(heads)
+    odd = (length & 1).astype(bool)
+    before = raw[start - 1]
+    at_cell = (before == ord(",")) | (before == ord("\r")) | (before == ord("\n"))
+    at_cell[0] |= start[0] == origin
+    # the state after a run is the parity of the flips since the last reset:
+    # the parity of all flips so far, less that parity at the last reset
+    toggles = odd & at_cell
+    resets = np.flatnonzero(odd & ~at_cell)
+    parity = np.logical_xor.accumulate(toggles)[resets]
+    toggles[resets[1:]] = parity[1:] ^ parity[:-1]
+    toggles[resets[:1]] = parity[:1]
+    # each byte's state is the one after the last run before it
+    in_quotes = np.zeros(raw.size, dtype=bool)
+    in_quotes[start] = toggles
+    np.logical_xor.accumulate(in_quotes, out=in_quotes)
+    return in_quotes, start, length, at_cell
+
+
+def _unquote(data: bytes, size: int, row_lo: np.ndarray, bounds: np.ndarray, row_hi: np.ndarray,
+             in_quotes: np.ndarray, start: np.ndarray, length: np.ndarray,
+             at_cell: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The spans lo, hi of a quoted file's columns, from the delimiters
+    before and after each data row and the commas between (``bounds``),
+    with each cell whose first byte is a quote read as csv.reader reads it,
+    given ``_quotes``.
+
+    Such a cell starts after its opening quote and ends before its last
+    byte when that is a quote too: ``"…"`` and ``""`` are then read, and
+    so is an unclosed ``"…``, which only the file's end ends. A cell that
+    still holds a quote, a doubled one or one that closes it before more
+    text, is unescaped into a buffer after the file's bytes."""
+    padded = np.frombuffer(data, dtype=np.uint8)
+    # a row of cells per record, in file order
+    lo = np.concatenate((row_lo[:, None], bounds), axis=1)
+    hi = np.concatenate((bounds, row_hi[:, None]), axis=1)
+    opened = padded[1:][lo] == ord('"')  # each cell's first byte
+    # the quote bytes left in the data rows; the header is csv.reader's
+    left = length[np.searchsorted(start, lo[0, 0]):].sum() - np.count_nonzero(opened)
+    lo += opened
+    hi -= 1  # each cell's last byte, for now
+    closed = opened & (hi > lo) & (padded[hi] == ord('"'))
+    hi += ~closed
+    left -= np.count_nonzero(closed)
+    if not left:
+        return data, lo.T, hi.T
+    # the cells that still hold a quote
+    quotes = np.flatnonzero(padded[:size] == ord('"'))
+    row, col = np.nonzero(opened)
+    held = np.searchsorted(quotes, hi[row, col]) > np.searchsorted(quotes, lo[row, col] + 1)
+    row, col = row[held], col[held]
+    if not row.size:
+        return data, lo.T, hi.T  # the quotes left are text in unquoted cells
+    # their bytes after the opening quote, less the quotes csv.reader drops,
+    # and the byte at their end, which becomes a separator
+    drop = quotes[_syntax(quotes, start, length, at_cell, in_quotes)]
+    picks, ends = _picks(lo[row, col], hi[row, col] + closed[row, col])
+    keep = drop[np.minimum(np.searchsorted(drop, picks), drop.size - 1)] != picks
+    keep[ends - 1] = True
+    seps = size + np.cumsum(keep)[ends - 1] - 1
+    lo[row, col], hi[row, col] = np.append(size - 1, seps[:-1]), seps
+    return b"".join((memoryview(data)[:size], padded[picks[keep]], _PAD)), lo.T, hi.T
+
+
+def _syntax(quotes: np.ndarray, start: np.ndarray, length: np.ndarray, at_cell: np.ndarray,
+            in_quotes: np.ndarray) -> np.ndarray:
+    """A mask of the quote bytes at ``quotes`` that csv.reader drops, given
+    ``_quotes``: a cell's opening quote, the first of each pair inside a
+    quoted cell, and a closing quote."""
+    inside = in_quotes[start - 1] & (start > 0)  # before each run
+    opens = at_cell & ~inside
+    run = np.repeat(np.arange(start.size), length)
+    offset = quotes - start[run]
+    phase = opens[run]  # an opening run's first quote opens its cell
+    return (phase | inside[run]) & ((offset == 0) | ((offset + phase) & 1 == 0))
 
 
 def load_csv(path, outcome_column: str,
@@ -477,10 +592,7 @@ def load_csv(path, outcome_column: str,
             # a column may be numeric when its first cell is a number or empty
             numeric = [j for j, cell in enumerate(first) if j != y_col
                        and (cell == "" or _parse_numbers([cell]) is not None)]
-            if b'"' in data:
-                columns = _quoted_columns(fh, start, path, header, numeric)
-            else:
-                columns = _unquoted_columns(fh, start, path, data, size, header, numeric)
+            columns = _columns(fh, start, path, data, size, header, numeric)
         del data
         return _encode_columns(header, y_col, columns, size, spec)
     except OSError as exc:
@@ -505,24 +617,16 @@ def _check_header(header: list[str], outcome_column: str, path) -> int:
     return header.index(outcome_column)
 
 
-def _loadtxt(fh, start: int, **kw) -> np.ndarray:
-    """The records after the header, parsed by numpy's C tokenizer: commas,
-    double quotes, and '#' an ordinary character. A record with a field too
-    few raises ValueError."""
-    fh.seek(start)
-    return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, **kw)
-
-
-def _unquoted_columns(fh, start: int, path, data: bytes, size: int, header: list[str],
-                      numeric: list[int]) -> list:
-    """The columns of CSV bytes without a double quote (``size`` bytes of
-    data, then its padding): parsed float64 cells for a numeric column, else
-    the cells' byte spans (data, lo, hi). ``_decimals`` parses the numeric
-    candidates' plain decimals from their words; ``float()`` or one
-    ``np.loadtxt`` pass decides the cells it declines."""
-    raw = np.frombuffer(data, dtype=np.uint8, count=size)
-    delimiters = _scan_unquoted(raw, len(header), path)
-    columns: list = [(data, lo, hi) for lo, hi in zip(delimiters, delimiters[1:])]
+def _columns(fh, start: int, path, data: bytes, size: int, header: list[str],
+             numeric: list[int]) -> list:
+    """The columns of CSV bytes (``size`` bytes of data, then its padding),
+    the records after the header starting at ``start`` of the open file fh:
+    parsed float64 cells for a numeric column, else the cells' byte spans
+    (data, lo, hi). ``_decimals`` parses the numeric candidates' plain
+    decimals from their words; ``float()`` or one ``np.loadtxt`` pass
+    decides the cells it declines."""
+    columns = _scan(data, size, len(header), path)
+    rows = columns[0][1].size
     parsed, done = {}, {}
     for j in numeric:
         parsed[j], done[j] = _decimals(*columns[j])
@@ -535,9 +639,9 @@ def _unquoted_columns(fh, start: int, path, data: bytes, size: int, header: list
     # a row converting one column and 1.1 us converting ten. So a few 9-byte
     # cells cost no pass over the file, and a file of %.8f columns (ten
     # declined cells a row) still goes through numpy's tokenizer.
-    if sum(declined.values()) < delimiters[0].size:
+    if sum(declined.values()) < rows:
         for j in rest:
-            _, lo, hi = columns[j]
+            data, lo, hi = columns[j]
             cells = np.flatnonzero(~done[j])
             try:
                 parsed[j][cells] = [float(c) for c in _cells(data, lo[cells], hi[cells])]
@@ -547,7 +651,12 @@ def _unquoted_columns(fh, start: int, path, data: bytes, size: int, header: list
         try:
             # one copy makes each column contiguous: binning ten 20k-row
             # columns took 8.4 ms, against 10.6 ms on the rows' strided ones
-            loaded = np.ascontiguousarray(_loadtxt(fh, start, usecols=rest, ndmin=2).T)
+            # numpy's C tokenizer: commas, double quotes opening a cell only
+            # at its start, as in csv.reader, and '#' an ordinary character
+            fh.seek(start)
+            loaded = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                usecols=rest, ndmin=2)
+            loaded = np.ascontiguousarray(loaded.T)
             parsed.update(zip(rest, loaded))
         except ValueError:
             # numpy's float parser takes a subset of what float() takes;
@@ -559,41 +668,6 @@ def _unquoted_columns(fh, start: int, path, data: bytes, size: int, header: list
         # cells only is text
         if values is not None and (declined[j] or not np.isnan(values).all()):
             columns[j] = values
-    return columns
-
-
-def _quoted_columns(fh, start: int, path, header: list[str], numeric: list[int]) -> list:
-    """The columns of CSV text with a double quote: parsed float64 cells for
-    a numeric column, else the cells' byte spans. One ``np.loadtxt`` pass
-    parses a candidate column as float64 and the others as Python strings."""
-    def read(floats: list[int]) -> np.ndarray:
-        kinds = [(str(j), "f8" if j in floats else "O") for j in range(len(header))]
-        return _loadtxt(fh, start, dtype=np.dtype(kinds), ndmin=1)
-
-    try:
-        records = read(numeric)
-    except ValueError:
-        # numpy's float parser takes a subset of what float() takes. Finding
-        # the rejected columns would cost a pass over the file per column, so
-        # all the candidates are read as text and float() decides per cell
-        try:
-            records = read([])
-        except ValueError as exc:
-            # a row of the wrong length; csv.reader finds it to name it
-            fh.seek(start)
-            fields = np.array([len(row) for row in csv.reader(fh) if row])
-            _check_fields(fields, len(header), path)
-            raise DataError(f"{path}: {exc}") from exc
-    columns: list = []
-    for j in range(len(header)):
-        column = records[str(j)]
-        if column.dtype == np.float64:
-            columns.append(column)
-            continue
-        cells = column.tolist()
-        column[...] = None  # the cells' strings are freed once they are joined
-        parsed = _parse_numbers(cells) if j in numeric else None
-        columns.append(_spans(cells) if parsed is None else parsed)
     return columns
 
 

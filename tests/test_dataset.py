@@ -29,7 +29,6 @@ from safs.dataset import (
     _encode_numeric,
     _encode_text,
     _keys,
-    _spans,
 )
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
@@ -280,18 +279,21 @@ class TestIngestRules:
 
     @pytest.mark.parametrize("names, empty_x0, calls", [
         ("t0,t1,y", False, 0), ("x0,x1,t0,t1,y", False, 0), ("x0,x1,t0,t1,y", True, 0),
-        ("w0,w1,t0,t1,y", False, 1)])
+        ("w0,w1,t0,t1,y", False, 1), ('x0,x1,"t0","t1",y', False, 0),
+        ('"w0","w1",t0,t1,y', False, 1)])
     def test_np_loadtxt_parses_only_numeric_columns(self, tmp_path, monkeypatch,
                                                     names, empty_x0, calls):
         # the shape of the scan benchmark's inputs: short decimal columns (x),
         # which the word parse reads, an empty cell among them, and short text
         # columns. Wide %.8f decimals (w) are declined on every row, so one
-        # np.loadtxt pass parses them
+        # np.loadtxt pass parses them. A column whose name is quoted has
+        # every cell quoted too, which changes none of this
         rng = np.random.default_rng(3)
 
         def cell(name):
-            return {"x": f"{rng.lognormal():.5f}", "w": f"{rng.lognormal():.8f}",
-                    "t": f"c{rng.integers(9)}", "y": str(rng.integers(2))}[name[0]]
+            value = {"x": f"{rng.lognormal():.5f}", "w": f"{rng.lognormal():.8f}",
+                     "t": f"c{rng.integers(9)}", "y": str(rng.integers(2))}[name.strip('"')[0]]
+            return f'"{value}"' if name[0] == '"' else value
 
         rows = [[cell(name) for name in names.split(",")] for _ in range(300)]
         if empty_x0:
@@ -305,6 +307,31 @@ class TestIngestRules:
         assert [kw["usecols"] for kw in seen] == [[0, 1]] * calls
         assert decoded == []  # float() decided no cell
         assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == reference_load(path, "y")
+
+    @pytest.mark.parametrize("text", [
+        'c,y\nA,1\n""\nB,0\n',  # a record of one empty field, not a blank line
+        'c,y\n"""",1\nA,0\n"",1\n',
+        'c,y\nA,"1"\nB,"0"\n',
+        '"c,d",y\nA,1\nB,0\n',
+        '\ufeff"c",y\nA,1\nB,0\n',
+        'h,y\n5\'10",1\n6\'1",0\n5\'10",0\n',
+        'c,y\n"ab"cd,1\nabcd,0\n"ab"c"d,1\n',
+        'c,y\na""b,1\n"a""b",0\n',
+        'c,y\nB,0\nA,"1',
+        'c,y\nB,0\nA,"1\n',
+        'c,y\nA,1\n"B,0\nC,1\n',
+        'c,y\r\n"a\r\nb",1\r\nc,0\r\n',
+    ])
+    def test_quote_edges_read_as_csv_reader_does(self, tmp_path, text):
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(text.encode())
+        expected = reference_load(path, "y")
+        if isinstance(expected, DataError):
+            with pytest.raises(DataError, match=re.escape(str(expected))):
+                load_csv(path, "y")
+        else:
+            ds = load_csv(path, "y")
+            assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == expected
 
     def test_bad_outcome_cell_names_its_row(self, tmp_path):
         with pytest.raises(DataError, match=r"row 3: 'maybe' is not a binary value"):
@@ -362,7 +389,7 @@ def reference_load(path, outcome_column, spec=DiscretizationSpec()):
 NUMBERS = ["1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١", "-0.0", ".5", "5.", "12345678",
            "123.45678", "0.30000000000000004"]
 CELLS = NUMBERS + ["", "A", "b c", "#x", "é", "🙂", '"q,1"', '"a""b"', '"n\nl"', '"2.5"',
-                   "⟨missing⟩"]
+                   "⟨missing⟩", '""', '5\'10"', '"ab"cd', 'a""b']
 # unquoted text cells of 0-20 UTF-8 bytes, on both sides of the 8-byte key
 # word, with 2- and 4-byte code points and leading and trailing spaces
 BYTE_TEXTS = st.text(st.sampled_from("ab é🙂"), max_size=20).map(
@@ -372,10 +399,11 @@ BYTE_TEXTS = st.text(st.sampled_from("ab é🙂"), max_size=20).map(
 @st.composite
 def csv_texts(draw):
     """CSV text close to the ingest rules' edges: numeric-looking, empty, quoted,
-    non-ASCII, '#' and unquoted text cells of up to 20 bytes, numeric-looking
-    columns with a later text or empty cell, a line ending drawn per line (so
-    "\r\r\n" and "\n\r" occur), blank lines and now and then a row of the
-    wrong length or a bad outcome cell."""
+    non-ASCII, '#' and unquoted text cells of up to 20 bytes, quotes that are
+    text, numeric-looking columns with a later text or empty cell, a line
+    ending drawn per line (so "\r\r\n" and "\n\r" occur), blank lines, a
+    quoted outcome cell, and now and then a row of the wrong length, a bad
+    outcome cell or a file that ends inside an unclosed quote."""
     n_features = draw(st.integers(1, 3))
     header = [f"c{j}" for j in range(n_features)] + ["y"]
     column_cells, intruders = [], []
@@ -394,7 +422,7 @@ def csv_texts(draw):
             rows[draw(st.integers(1, len(rows) - 1))][j] = cell
     lines = [",".join(header)]
     for row in rows:
-        row.append(draw(st.sampled_from(["0", "1", "1", "0", "true", " FALSE"])))
+        row.append(draw(st.sampled_from(["0", "1", "1", "0", "true", " FALSE", '"1"', '"0"'])))
         if draw(st.integers(0, 40)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["x"]
         if draw(st.integers(0, 40)) == 0:
@@ -403,8 +431,20 @@ def csv_texts(draw):
         if draw(st.integers(0, 8)) == 0:
             lines.append("")
     eol = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.integers(0, 20)) == 0:
+        # the last cell opens a quote that the file never closes
+        head, comma, tail = lines[-1].rpartition(",")
+        lines[-1] = head + comma + '"' + tail
     return "".join(line + draw(eol) for line in lines[:-1]) + lines[-1] + draw(
         st.one_of(st.just(""), eol))
+
+
+def _spans(cells):
+    """Python strings as the byte spans of one buffer, joined by NUL: the
+    (data, lo, hi) of a column that the ingest helpers take."""
+    data = "\0".join(cells).encode()
+    nuls = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
+    return data + bytes(8), np.append(-1, nuls), np.append(nuls, len(data))
 
 
 def dict_encode(cells, missing_label):
