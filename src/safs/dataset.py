@@ -37,12 +37,13 @@ bytes matching ``-?[0-9]*\\.?[0-9]*`` loses its sign and dot, its digits
 become an integer by three multiplies, and one division by a power of ten
 gives what ``float()`` gives, bit for bit; an empty cell is nan. Every other
 cell is declined (a wider cell, an exponent, a space, text). When the
-declined cells are fewer than the rows, ``float()`` decides each one,
+declined cells are fewer than two a row, ``float()`` decides each one,
 decoded from its span; else one ``np.loadtxt`` pass of numpy's C tokenizer
 parses the candidates that hold them, as float64, and where numpy's float
 parser rejects a cell (an empty cell, ``1_000``, non-ASCII digits, a text
 cell below a number) ``float()`` decides every cell of those columns. Each
-numeric column is binned with one quantile and one comparison per bin edge.
+numeric column is binned with one sort, its quantile edges read from the
+sorted copy, and one comparison per bin edge.
 """
 
 from __future__ import annotations
@@ -232,11 +233,21 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     finite = parsed[np.isfinite(parsed)]  # -inf and inf join the edge bins
     if not finite.size:
         raise DataError(f"numeric column {name!r} has no finite value")
+    # np.quantile partitions a sorted copy much faster than the cells in
+    # their own order: a sort plus np.quantile took 0.33 ms on a column of
+    # 20k lognormal values, np.quantile alone 0.68 ms
+    ordered = np.sort(finite)
     # interior quantile edges; ties collapse, possibly down to a single bin
     qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.unique(np.quantile(finite, qs)) if qs.size else np.array([])
+    edges = np.quantile(ordered, qs) if qs.size else np.array([])
+    # equal floats are equal bit for bit but for -0.0 and 0.0, which the two
+    # orders may place apart, and a nonzero interpolation does not depend on
+    # the sign of a zero: only a zero edge may print otherwise ("-0", "0")
+    if not edges.all():
+        edges = np.quantile(finite, qs)
+    edges = np.unique(edges)
     # an edge at or above the max (or below the min) would leave a dead bin
-    edges = edges[(edges >= finite.min()) & (edges < finite.max())]
+    edges = edges[(edges >= ordered[0]) & (edges < ordered[-1])]
     labels = _bin_labels(edges)
     # a cell's bin is the number of edges below it; nan is below none
     codes = np.zeros(parsed.size, dtype=np.int32)
@@ -454,9 +465,17 @@ def _scan(data: bytes, size: int, ncols: int, path) -> list[tuple]:
     _check_fields((last - first + 1)[1:][filled], ncols, path)
     # every data line now holds ncols - 1 commas, in file order
     bounds = commas[last[0]:].reshape(-1, ncols - 1)
-    lo, hi = [starts[1:][filled] - 1, *bounds.T], [*bounds.T, stops[1:][filled]]
+    row_lo, row_hi = starts[1:][filled] - 1, stops[1:][filled]
+    # a contiguous copy of each column, which is read several times: 20k
+    # offsets took about 7 us to read contiguous, 40 us strided across rows.
+    # Column by column, the copies loaded scan-large inputs about 3 ms
+    # faster than one transposed copy of the whole matrix
     if quoted:
-        data, lo, hi = _unquote(data, size, lo[0], bounds, hi[-1], in_quotes, *runs)
+        data, lo, hi = _unquote(data, size, row_lo, bounds, row_hi, in_quotes, *runs)
+        lo, hi = [c.copy() for c in lo], [c.copy() for c in hi]
+    else:
+        cols = [c.copy() for c in bounds.T]
+        lo, hi = [row_lo, *cols], [*cols, row_hi]
     return [(data, a, b) for a, b in zip(lo, hi)]
 
 
@@ -633,13 +652,14 @@ def _columns(fh, start: int, path, data: bytes, size: int, header: list[str],
     declined = {j: done[j].size - np.count_nonzero(done[j]) for j in numeric}
     rest = [j for j in numeric if declined[j]]
     # Cells the word parse declined (over 8 bytes, exponents, spaces, text)
-    # are decided by float() when they are fewer than the rows, else by one
+    # are decided by float() when they are fewer than two a row, else by one
     # np.loadtxt pass over their columns. On scan-large inputs float() costs
     # about 0.2 us a cell, decoding included, and a np.loadtxt pass 0.65 us
-    # a row converting one column and 1.1 us converting ten. So a few 9-byte
-    # cells cost no pass over the file, and a file of %.8f columns (ten
-    # declined cells a row) still goes through numpy's tokenizer.
-    if sum(declined.values()) < rows:
+    # a row converting one column and 1.1 us converting ten. On 20k rows of
+    # short decimals, one %.8f column (one declined cell a row) loaded in
+    # 35.9 ms by float() against 41.9 ms by np.loadtxt, two such columns
+    # tied, and three were faster by np.loadtxt.
+    if sum(declined.values()) < 2 * rows:
         for j in rest:
             data, lo, hi = columns[j]
             cells = np.flatnonzero(~done[j])

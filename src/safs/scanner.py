@@ -9,11 +9,15 @@ Cost: a scan holds record sets as bitmasks, 64 records to a machine word.
 A coordinate step on a feature with C categories ANDs the other constraints'
 masks, O(K*N/64) word operations for K features and N records, then counts
 records and positives per value. Up to ``_BITS_MAX_CARD`` categories that is
-2*C bit counts, O(C*N/64); above it, one ``bincount`` over the N records,
-O(N). Sorting the values and scoring the prefixes adds O(C log C) and C
-memo lookups, with a Python-level score call for each (n_s, sum_y) pair the
-kernel has not scored before. A step whose answer cannot have changed since the
-feature's last step is skipped.
+2*C bit counts, O(C*N/64). Above it, when the other constraints admit m
+records and m is at most N/16, their indices are gathered from the mask's N/8
+bytes and their keys counted, O(N/8 + m); else one ``bincount`` over the N
+records, O(N). Sorting the values and scoring the prefixes adds O(C log C)
+and C memo lookups, with a Python-level score call for each (n_s, sum_y)
+pair the kernel has not scored before. A step whose answer cannot have
+changed since the feature's last step is skipped. A changed constraint of a
+feature with at most ``_MASKS_MAX_CARD`` categories is the OR of its values'
+masks, O(C*N/64); a wider one is rebuilt from its keys, O(N).
 
 A scan keeps its kernel and restart plan in its result: permutation
 replicates relabel that kernel and only climb, with prefix scores memoized by
@@ -46,18 +50,31 @@ _MAX_PASSES = 50
 # domain separator so permutation draws never collide with scan restarts
 _PERMUTE_KEY = 0x70657200
 # a step counts a feature with at most this many categories by bit_count
-# and a wider one by bincount. Both counts are exact, so no answer depends
+# and a wider one from its keys. Both counts are exact, so no answer depends
 # on it. Per step (median of alternating calls, the other constraints
 # admitting half the records; a 2-vCPU Xeon, Python 3.11, numpy 2.4),
 # bincount wins the count alone from C = 14 at N = 20k, C = 16 at 200k and
 # C = 20 at 10^6 (bits against bincount there: 3.8 against 3.2 ms, and
-# 2.1 against 3.0 ms at C = 12). But bincount's route also rebuilds a
-# changed constraint's mask by repeat/take/packbits, 0.02 ms at N = 5k and
-# 1.2-1.7 ms at N = 10^6, where ORing value masks takes at most 0.17 ms.
-# Count plus rebuild, bits win at C = 16 for N from 5k to 10^6 (3.0
-# against 4.2 ms at N = 10^6), tie near C = 20, and lose at C = 30 from
-# N = 20k (5.7 against 4.4 ms at N = 10^6).
+# 2.1 against 3.0 ms at C = 12).
 _BITS_MAX_CARD = 12
+# a feature with at most this many categories keeps one record mask per
+# value, so a changed constraint is the OR of its values' masks: on
+# scan-large inputs (N = 20k, C = 14-30) a median 3.5 us, against 35 us to
+# rebuild it from the keys by take and packbits. Here the C*N/8 bytes of
+# masks equal the 8N bytes of a wide feature's keys; at 300 categories
+# masks would take 37.5 bytes a record
+_MASKS_MAX_CARD = 64
+# a wide feature's step gathers the records the other constraints admit
+# and counts their keys when they are at most n/_GATHER_SHARE of the n
+# records, else it runs one bincount over all n weighted by the unpacked
+# mask. At N = 20k and C = 20, gathering took 16-19 us for 10-100 admitted
+# records against 41 us by bincount, broke even near n/25 and took 51 us at
+# n/16. On scan-large inputs the median wide step admits 0.5% of the
+# records and 77% admit at most n/16; a switch at n/64 measured the same
+# end to end within noise
+_GATHER_SHARE = 16
+# bit positions of a byte, for gathering record indices from mask bytes
+_BYTE_BITS = np.arange(8)
 
 
 def _check_direction(direction: str) -> None:
@@ -140,9 +157,10 @@ class ScanResult:
     improving after ``_MAX_PASSES`` passes. The oracle reports 0 for both.
     ``_search`` keeps the kernel and plan for :func:`~safs.report.empirical_p_value`
     until ``replace(result, _search=None)`` frees them: N/8 bytes per value of a
-    feature of at most ``_BITS_MAX_CARD`` values, 8N per wider one, plus the memo.
-    ``scan-large`` inputs keep 1.1 MB at 20k rows, 9.5 MB at 200k (so about 47 MB
-    at 10^6); a 5k-row ``pipeline-small`` one 51 kB, 111 kB after 9 replicates."""
+    feature of at most ``_MASKS_MAX_CARD`` values, 8N more per feature of over
+    ``_BITS_MAX_CARD`` values, plus the memo. A ``scan-large`` input keeps
+    1.4 MB at 20k rows, 12.7 MB at 200k (so about 64 MB at 10^6); a 5k-row
+    ``pipeline-small`` one 31 kB, 122 kB after 9 replicates."""
 
     descriptor: SubgroupDescriptor
     score: float
@@ -232,8 +250,11 @@ class _ScanKernel:
     admits and ``y_bits`` the positive records; the records matching every
     constraint but f's are the AND of the other masks. A step counts
     records and positives per value of f among them: by bit-counting one
-    mask per value when f has at most ``_BITS_MAX_CARD`` categories, else by
-    one ``bincount`` of ``2*code + y`` weighted by the unpacked mask.
+    mask per value when f has at most ``_BITS_MAX_CARD`` categories, else
+    from the keys ``2*code + y``, gathered at the admitted records when they
+    are few or weighted by the unpacked mask. A feature of at most
+    ``_MASKS_MAX_CARD`` categories keeps a mask per value, which a changed
+    constraint ORs; a wider one rebuilds it from its keys.
     """
 
     def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
@@ -244,14 +265,15 @@ class _ScanKernel:
         self.n = dataset.n_records
         self.all_bits = (1 << self.n) - 1
         self.cards = {f: dataset.schemas[f].cardinality for f in self.features}
-        # small cardinality: one record mask per value; large: 2*code + y
+        # one record mask per value up to _MASKS_MAX_CARD categories; keys
+        # 2*code + y above _BITS_MAX_CARD
         self.value_bits: dict[int, list[int]] = {}
         self.keys: dict[int, np.ndarray] = {}
         for f in self.features:
             col = dataset.codes[:, f]
-            if self.cards[f] <= _BITS_MAX_CARD:
+            if self.cards[f] <= _MASKS_MAX_CARD:
                 self.value_bits[f] = _value_bits(col, self.cards[f])
-            else:
+            if self.cards[f] > _BITS_MAX_CARD:
                 # intp: bincount casts any other index type on every call
                 self.keys[f] = 2 * col.astype(np.intp)
         self.outcome = dataset.outcome
@@ -316,15 +338,23 @@ class _ScanKernel:
 
     def _value_counts(self, feature: int, others: int) -> tuple[list[int], list[int]]:
         """Per value of ``feature``: records and positives among ``others``."""
-        if feature in self.value_bits:
+        if feature not in self.keys:
             bits = self.value_bits[feature]
             positives = others & self.y_bits
             return ([(others & b).bit_count() for b in bits],
                     [(positives & b).bit_count() for b in bits])
-        weights = _bool_from_bits(others, self.n)
-        # 0/1 weights: the sums are exact integers
-        both = np.bincount(self.keys[feature], weights=weights,
-                           minlength=2 * self.cards[feature]).astype(np.int64)
+        keys = self.keys[feature]
+        if others.bit_count() * _GATHER_SHARE <= self.n:
+            # the admitted records' indices, from the mask's nonzero bytes
+            b = np.frombuffer(others.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+            nz = b.nonzero()[0]
+            hits = np.unpackbits(b[nz, None], axis=1, bitorder="little").view(bool)
+            both = np.bincount(keys.take((nz[:, None] * 8 + _BYTE_BITS)[hits]),
+                               minlength=2 * self.cards[feature])
+        else:
+            # 0/1 weights: the sums are exact integers
+            both = np.bincount(keys, weights=_bool_from_bits(others, self.n),
+                               minlength=2 * self.cards[feature]).astype(np.int64)
         sums = both[1::2]
         return (both[0::2] + sums).tolist(), sums.tolist()
 

@@ -476,6 +476,44 @@ class TestKernelProperties:
         assert got.score <= brute_force_scan(ds, feats, direction).score + 1e-9
 
 
+def one_feature_kernel(card, n=1003):
+    """A kernel on one feature of ``card`` categories, every one present,
+    over ``n`` random records; and the feature's codes."""
+    rng = np.random.default_rng(card)
+    codes = rng.integers(0, card, n)
+    codes[:card] = np.arange(card)
+    y = rng.integers(0, 2, n)
+    y[:2] = 1, 0
+    return _ScanKernel(make_dataset([card], codes[:, None], y), [0], OVER), codes
+
+
+class TestKernelRoutes:
+
+    # a wide feature counts by gathering the admitted records up to n/16 of
+    # them, else by a bincount over all n; n = 1003 is not a multiple of 8
+    @pytest.mark.parametrize("card", [_BITS_MAX_CARD + 1, 64, 65, 300])
+    @pytest.mark.parametrize("admitted", [1, 1003 // 16, 1003 // 16 + 1, 1003])
+    def test_wide_value_counts_match_a_direct_tally(self, card, admitted):
+        kernel, codes = one_feature_kernel(card)
+        mask = np.zeros(kernel.n, dtype=bool)
+        mask[np.random.default_rng(admitted).permutation(kernel.n)[:admitted]] = True
+        both = np.bincount(2 * codes + kernel.outcome, weights=mask,
+                           minlength=2 * card).astype(int)
+        counts, sums = kernel._value_counts(0, _bits_from_bool(mask))
+        assert counts == (both[0::2] + both[1::2]).tolist()
+        assert sums == both[1::2].tolist()
+
+    # ORed value masks up to 64 categories, a rebuild from the keys above
+    @pytest.mark.parametrize("card", [_BITS_MAX_CARD, _BITS_MAX_CARD + 1, 64, 65])
+    def test_constrained_mask_matches_isin(self, card):
+        kernel, codes = one_feature_kernel(card)
+        rng = np.random.default_rng(0)
+        for size in (1, 2, card // 2, card - 1):
+            values = frozenset(rng.choice(card, size, replace=False).tolist())
+            kernel._constrain(0, values)
+            assert kernel.allowed[0] == _bits_from_bool(np.isin(codes, sorted(values)))
+
+
 @st.composite
 def synth_cases(draw):
     """A small tests/synth.py dataset, a direction and a restart count."""
