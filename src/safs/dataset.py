@@ -460,9 +460,11 @@ def _scan(data: bytes, size: int, ncols: int, path) -> list[tuple]:
         ends, commas = ends[~in_quotes[ends]], commas[~in_quotes[commas]]
     stops = np.append(ends, raw.size)
     starts = np.concatenate(([0], ends + 1))
-    first, last = np.searchsorted(commas, starts), np.searchsorted(commas, stops)
+    # the commas before each line's end; no comma is a line end, so a
+    # line's first comma follows the last one of the line before
+    last = np.searchsorted(commas, stops)
     filled = stops[1:] > starts[1:]  # line 0 is the header; blank lines are skipped
-    _check_fields((last - first + 1)[1:][filled], ncols, path)
+    _check_fields(np.diff(last, prepend=0)[1:][filled] + 1, ncols, path)
     # every data line now holds ncols - 1 commas, in file order
     bounds = commas[last[0]:].reshape(-1, ncols - 1)
     row_lo, row_hi = starts[1:][filled] - 1, stops[1:][filled]

@@ -95,14 +95,15 @@ def safs_rank(dataset: DiscreteDataset) -> FeatureRanking:
 
     Single-valued features get score 0 (their complement stratum is empty).
     So does every binary feature: value 1's 2x2 table is value 0's with the
-    rows swapped, so Y(1) = -Y(0) exactly; binary features tie at 0, in
-    ascending column order.
+    rows swapped, so Y(1) = -Y(0) exactly and the Gini of the two equal
+    |Y| is exactly 0; binary features tie at 0, in ascending column order.
+    Both are scored in closed form, without their tables.
     A constant outcome raises ``DataError`` (see ``outcome_mean``).
     """
     dataset.outcome_mean  # raises DataError on a constant outcome
     scores = np.zeros(dataset.n_features)
     for m in range(dataset.n_features):
-        if dataset.schemas[m].cardinality == 1:
+        if dataset.schemas[m].cardinality <= 2:
             continue
         scores[m] = gini_index(np.abs(yules_y_per_value(dataset, m)))
     return _ordered_entries(METHOD_SAFS, scores)

@@ -14,10 +14,16 @@ records and m is at most N/16, their indices are gathered from the mask's N/8
 bytes and their keys counted, O(N/8 + m); else one ``bincount`` over the N
 records, O(N). Sorting the values and scoring the prefixes adds O(C log C)
 and C memo lookups, with a Python-level score call for each (n_s, sum_y)
-pair the kernel has not scored before. A step whose answer cannot have
-changed since the feature's last step is skipped. A changed constraint of a
-feature with at most ``_MASKS_MAX_CARD`` categories is the OR of its values'
-masks, O(C*N/64); a wider one is rebuilt from its keys, O(N).
+pair the kernel has not scored before. A two-category step is closed-form:
+four bit counts, a comparison of integer cross-products for the order and
+two memo lookups, with no sort. The AND of every constraint is kept until a
+constraint changes, so a step on an unconstrained feature reuses it. A step
+whose answer cannot have changed since the feature's last step is skipped.
+A changed constraint of a feature with at most ``_MASKS_MAX_CARD``
+categories is the OR of its values' masks, O(C*N/64); a wider one is
+rebuilt from its keys, O(N). A random restart start is drawn until its
+constraints admit a record; a rejected draw stops ANDing masks at the first
+constraint that leaves none.
 
 A scan keeps its kernel and restart plan in its result: permutation
 replicates relabel that kernel and only climb, with prefix scores memoized by
@@ -75,6 +81,8 @@ _MASKS_MAX_CARD = 64
 _GATHER_SHARE = 16
 # bit positions of a byte, for gathering record indices from mask bytes
 _BYTE_BITS = np.arange(8)
+# a two-category feature's constraint admitting one value, by value
+_ONE_VALUE = (frozenset({0}), frozenset({1}))
 
 
 def _check_direction(direction: str) -> None:
@@ -254,7 +262,8 @@ class _ScanKernel:
     from the keys ``2*code + y``, gathered at the admitted records when they
     are few or weighted by the unpacked mask. A feature of at most
     ``_MASKS_MAX_CARD`` categories keeps a mask per value, which a changed
-    constraint ORs; a wider one rebuilds it from its keys.
+    constraint ORs; a wider one rebuilds it from its keys. ``matched`` is
+    the AND of every constraint's mask, or None until it is next needed.
     """
 
     def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
@@ -283,6 +292,7 @@ class _ScanKernel:
         self.scores: dict[tuple[int, int], float] = {}
         self.constraints: dict[int, frozenset[int]] = {}
         self.allowed: dict[int, int] = {}
+        self.matched: int | None = None
 
     def relabel(self, y: np.ndarray) -> None:
         """Make ``y`` the outcome of every record. ``y`` must keep the
@@ -303,31 +313,53 @@ class _ScanKernel:
                                                             self.direction)[0]
         return score
 
-    def _constrain(self, feature: int, values: frozenset[int]) -> None:
+    def _mask(self, feature: int, values: Iterable[int]) -> int:
+        """Records whose value of ``feature`` is in ``values``."""
         if feature in self.value_bits:
             bits = self.value_bits[feature]
             mask = 0
             for v in values:
                 mask |= bits[v]
-        else:
-            admitted = np.zeros(self.cards[feature], dtype=bool)
-            admitted[list(values)] = True
-            mask = _bits_from_bool(admitted.repeat(2).take(self.keys[feature]))
+            return mask
+        admitted = np.zeros(self.cards[feature], dtype=bool)
+        admitted[list(values)] = True
+        return _bits_from_bool(admitted.repeat(2).take(self.keys[feature]))
+
+    def _constrain(self, feature: int, values: frozenset[int]) -> None:
         self.constraints[feature] = values
-        self.allowed[feature] = mask
+        self.allowed[feature] = self._mask(feature, values)
+        self.matched = None
 
     def _matching(self, skip: int | None = None) -> int:
         """Records matching every current constraint but ``skip``'s."""
+        if skip not in self.allowed:
+            if self.matched is None:
+                mask = self.all_bits
+                for allowed in self.allowed.values():
+                    mask &= allowed
+                self.matched = mask
+            return self.matched
         mask = self.all_bits
         for f, allowed in self.allowed.items():
             if f != skip:
                 mask &= allowed
         return mask
 
+    def admits_any(self, constraints: Mapping[int, Iterable[int]]) -> bool:
+        """Whether some record matches every constraint of ``constraints``
+        (feature -> admitted values); it stops at the first constraint that
+        leaves no record. The current subgroup is left as it is."""
+        mask = self.all_bits
+        for f, values in constraints.items():
+            mask &= self._mask(f, values)
+            if not mask:
+                return False
+        return True
+
     def load(self, descriptor: SubgroupDescriptor) -> float | None:
         """Make ``descriptor`` the current subgroup and return its score,
         or None when it matches no record."""
-        self.constraints, self.allowed = {}, {}
+        self.constraints, self.allowed, self.matched = {}, {}, None
         for f, values in descriptor.constraints.items():
             self._constrain(f, values)
         matched = self._matching()
@@ -361,7 +393,23 @@ class _ScanKernel:
     def step(self, feature: int) -> tuple[frozenset[int] | None, float]:
         """Replace one feature's constraint by the best value set given the
         others; return that set (None: unconstrained) and the new score."""
-        counts, sums = self._value_counts(feature, self._matching(skip=feature))
+        others = self._matching(skip=feature)
+        if self.cards[feature] == 2:
+            values, score = self._two_value_step(feature, others)
+        else:
+            values, score = self._prefix_step(feature, others)
+        if values is None:
+            if self.allowed.pop(feature, None) is not None:
+                del self.constraints[feature]
+                self.matched = None
+        elif values != self.constraints.get(feature):
+            self._constrain(feature, values)
+        return values, score
+
+    def _prefix_step(self, feature: int, others: int) -> tuple[frozenset[int] | None, float]:
+        """The best value set of ``feature`` among the records ``others``
+        and its score: values sorted by rate, then every prefix scored."""
+        counts, sums = self._value_counts(feature, others)
         supported = [v for v, n in enumerate(counts) if n]
         if not supported:
             raise DataError("no records match the remaining constraints")
@@ -376,13 +424,37 @@ class _ScanKernel:
             if score > best_score:  # ties -> shortest prefix
                 best, best_score = i, score
         if score >= best_score:  # all supported values: vacuous
-            self.constraints.pop(feature, None)
-            self.allowed.pop(feature, None)
             return None, score
-        values = frozenset(order[: best + 1])
-        if values != self.constraints.get(feature):
-            self._constrain(feature, values)
-        return values, best_score
+        return frozenset(order[: best + 1]), best_score
+
+    def _two_value_step(self, feature: int, others: int) -> tuple[frozenset[int] | None, float]:
+        """:meth:`_prefix_step` for a two-category feature in closed form. It
+        scores the same two prefixes through the same memo, so the score is
+        the same bit for bit."""
+        n = others.bit_count()
+        if not n:
+            raise DataError("no records match the remaining constraints")
+        positives = others & self.y_bits
+        s = positives.bit_count()
+        b0 = self.value_bits[feature][0]
+        n0 = (others & b0).bit_count()
+        s0 = (positives & b0).bit_count()
+        n1, s1 = n - n0, s - s0
+        if not (n0 and n1):  # one supported value: vacuous
+            return None, self.score(n, s)
+        # the rates' order by exact cross-products; equal rates put value 0
+        # first, as the sort key (sign * rate, v) does. Distinct rates differ
+        # by at least 1/(n0*n1), far above float division's rounding, so the
+        # sort orders them the same way
+        if self.direction == OVER:
+            first = 0 if s0 * n1 >= s1 * n0 else 1
+        else:
+            first = 0 if s0 * n1 <= s1 * n0 else 1
+        one = self.score(n0, s0) if first == 0 else self.score(n1, s1)
+        whole = self.score(n, s)
+        if whole >= one:  # both values: vacuous
+            return None, whole
+        return _ONE_VALUE[first], one
 
 
 def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
@@ -401,12 +473,12 @@ def optimize_feature(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
     return kernel.step(kernel.features[0])[0]
 
 
-def _random_descriptor(cards: Mapping[int, int],
-                       rng: np.random.Generator) -> SubgroupDescriptor:
+def _random_constraints(cards: Mapping[int, int],
+                        rng: np.random.Generator) -> dict[int, list[int]]:
     """Uniformly random non-empty value subset per feature of ``cards``
     (feature -> category count, in draw order): the values whose
     ``rng.random(C)`` draw is below 0.5, drawn again while none is. A feature
-    that admits every value is left unconstrained."""
+    that admits every value is left out."""
     constraints = {}
     for f, c in cards.items():
         while True:
@@ -415,7 +487,7 @@ def _random_descriptor(cards: Mapping[int, int],
                 break
         if len(picks) < c:
             constraints[f] = picks
-    return SubgroupDescriptor(constraints)
+    return constraints
 
 
 def _result_from(dataset: DiscreteDataset, descriptor: SubgroupDescriptor,
@@ -450,16 +522,17 @@ def _restart_plan(kernel: _ScanKernel, config: ScanConfig) -> list[_Restart]:
     subgroup, each other one from the first of up to 100 random descriptors
     that matches a record, else (a fallback) from the unconstrained
     subgroup. Which records match does not depend on the labels, so one plan
-    serves every relabelling of the kernel."""
+    serves every relabelling of the kernel. A rejected draw costs its draws
+    and the masks up to its first constraint that leaves no record."""
     plan = []
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
         rng = np.random.default_rng(child)
         start, fell_back = SubgroupDescriptor(), False
         if r > 0:
             for _ in range(100):
-                drawn = _random_descriptor(kernel.cards, rng)
-                if kernel.load(drawn) is not None:
-                    start = drawn
+                drawn = _random_constraints(kernel.cards, rng)
+                if kernel.admits_any(drawn):
+                    start = SubgroupDescriptor(drawn)
                     break
             else:
                 fell_back = True

@@ -390,8 +390,8 @@ def reference_load(path, outcome_column, spec=DiscretizationSpec()):
 # that the word parse declines
 NUMBERS = ["1", "2.5", "-3e2", " 4 ", "nan", "inf", "1_0", "١", "-0.0", ".5", "5.", "12345678",
            "123.45678", "0.30000000000000004"]
-CELLS = NUMBERS + ["", "A", "b c", "#x", "é", "🙂", '"q,1"', '"a""b"', '"n\nl"', '"2.5"',
-                   "⟨missing⟩", '""', '5\'10"', '"ab"cd', 'a""b']
+CELLS = NUMBERS + ["", "A", "b c", "#x", "é", "🙂", '"q,1"', '"a""b"', '"n\nl"', '"r\r\nl"', '"\r"',
+                   '"2.5"', "⟨missing⟩", '""', '5\'10"', '"ab"cd', 'a""b']
 # unquoted text cells of 0-20 UTF-8 bytes, on both sides of the 8-byte key
 # word, with 2- and 4-byte code points and leading and trailing spaces
 BYTE_TEXTS = st.text(st.sampled_from("ab é🙂"), max_size=20).map(
@@ -400,7 +400,8 @@ BYTE_TEXTS = st.text(st.sampled_from("ab é🙂"), max_size=20).map(
 
 @st.composite
 def csv_texts(draw):
-    """CSV text close to the ingest rules' edges: numeric-looking, empty, quoted,
+    """CSV text close to the ingest rules' edges: numeric-looking, empty, quoted
+    (with a comma, LF, CR or CRLF inside),
     non-ASCII, '#' and unquoted text cells of up to 20 bytes, quotes that are
     text, numeric-looking columns with a later text or empty cell, a line
     ending drawn per line (so "\r\r\n" and "\n\r" occur), blank lines, a

@@ -216,11 +216,17 @@ class TestSafsRank:
         codes = [[data.draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
         y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
                       .filter(lambda v: 0 < sum(v) < n))
-        ranking = safs_rank(make_dataset(cards, codes, y))
+        ds = make_dataset(cards, codes, y)
+        ranking = safs_rank(ds)
         scores = dict(ranking.entries)
         binary = [f for f in ranking.features if cards[f] == 2]
         assert all(scores[f] == 0.0 for f in binary)
         assert binary == sorted(binary)
+        # safs_rank skips them; the arithmetic it skips gives 0 exactly
+        for f in binary:
+            y_values = yules_y_per_value(ds, f)
+            assert y_values[1] == -y_values[0]
+            assert gini_index(np.abs(y_values)) == 0.0
 
     def test_increasing_scores_rejected(self):
         with pytest.raises(DataError, match="non-increasing"):

@@ -29,7 +29,7 @@ from safs import (
 from safs.dataset import constraints_bool_mask
 from safs import scanner
 from safs.scanner import (_BITS_MAX_CARD, _MAX_PASSES, _PERMUTE_KEY, _ascend, _bits_from_bool,
-                           _climb, _random_descriptor, _Restart, _restart_plan, _ScanKernel,
+                           _climb, _random_constraints, _Restart, _restart_plan, _ScanKernel,
                            _score_counts)
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset
 
@@ -419,35 +419,115 @@ def kernel_cases(draw, cards=straddling_cards, max_rows=300):
     return dataset, SubgroupDescriptor(constraints), direction
 
 
+def check_steps(ds, descriptor, direction, steps):
+    """Load ``descriptor`` and step the features ``steps`` names (mod K) in
+    turn: each step's set equals ``reference_step``'s and
+    ``optimize_feature``'s, or all three raise, and each carried score is
+    the rescored one, bit for bit."""
+    kernel = _ScanKernel(ds, list(range(ds.n_features)), direction)
+    score = kernel.load(descriptor)
+    if constraints_bool_mask(ds, descriptor.constraints).any():
+        assert score == score_subgroup(ds, descriptor, direction)[0]
+    else:
+        assert score is None
+    for f in (s % ds.n_features for s in steps):
+        try:
+            expected = reference_step(ds, descriptor, f, direction)
+        except DataError:
+            with pytest.raises(DataError):
+                optimize_feature(ds, descriptor, f, direction)
+            with pytest.raises(DataError):
+                kernel.step(f)
+            return
+        assert optimize_feature(ds, descriptor, f, direction) == expected
+        values, score = kernel.step(f)
+        assert values == expected
+        descriptor = descriptor.replace(f, values)
+        assert kernel.constraints == descriptor.constraints
+        # exact: the carried score is the rescored one, bit for bit
+        assert score == score_subgroup(ds, descriptor, direction)[0]
+
+
+@st.composite
+def two_value_cases(draw):
+    """Two-category features only, and a descriptor over them. At times
+    feature 0 takes value 1 on m copies of its value-0 records, so its two
+    values have equal rates under any other constraints; and at times
+    feature 1 never takes value 1, so that value is unsupported and the
+    constraint {1} on it admits no record."""
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=2, max_size=40))
+    y = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    y[0], y[1] = 1, 0  # a non-degenerate outcome
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        rows = [(0, *r[1:]) for r in rows] + [(1, *r[1:]) for r in rows] * m
+        y = y * (m + 1)
+    if k > 1 and draw(st.booleans()):
+        rows = [(r[0], 0, *r[2:]) for r in rows]
+    constraints = {}
+    for f in range(k):
+        values = draw(st.sampled_from([None, {0}, {1}, {0, 1}]))
+        if values is not None:
+            constraints[f] = values
+    return make_dataset([2] * k, rows, y), SubgroupDescriptor(constraints)
+
+
 class TestKernelProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(case=kernel_cases(), steps=st.lists(st.integers(0, 3), min_size=1, max_size=6))
     def test_steps_match_reference_and_rescoring(self, case, steps):
+        check_steps(*case, steps)
+
+    # the closed-form step of a two-category feature, at its edges
+    @settings(max_examples=300, deadline=None)
+    @given(case=two_value_cases(), direction=st.sampled_from([OVER, UNDER]),
+           steps=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    def test_two_value_steps_match_reference_and_rescoring(self, case, direction, steps):
+        check_steps(*case, direction, steps)
+
+    # equal rates never change the answer (the two values then score at most
+    # what both do), so the memo shows the order: value 0 first, as the sort
+    @settings(max_examples=300, deadline=None)
+    @given(case=two_value_cases(), direction=st.sampled_from([OVER, UNDER]),
+           feature=st.integers(0, 3))
+    def test_two_value_step_scores_the_sorted_prefixes(self, case, direction, feature):
+        ds, descriptor = case
+        f = feature % ds.n_features
+        closed, generic = (_ScanKernel(ds, list(range(ds.n_features)), direction)
+                           for _ in range(2))
+        closed.load(descriptor)
+        generic.load(descriptor)
+        others = closed._matching(skip=f)
+        assume(others)
+        assert closed._two_value_step(f, others) == generic._prefix_step(f, others)
+        assert closed.scores.keys() == generic.scores.keys()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=kernel_cases(cards=st.integers(1, 4)),
+           ops=st.lists(st.tuples(st.sampled_from(["load", "step", "relabel"]),
+                                  st.integers(0, 2**16)), min_size=1, max_size=12))
+    def test_kept_mask_is_the_and_of_every_constraint(self, case, ops):
         ds, descriptor, direction = case
-        feats = list(range(ds.n_features))
-        kernel = _ScanKernel(ds, feats, direction)
-        score = kernel.load(descriptor)
-        if constraints_bool_mask(ds, descriptor.constraints).any():
-            assert score == score_subgroup(ds, descriptor, direction)[0]
-        else:
-            assert score is None
-        for f in (s % ds.n_features for s in steps):
-            try:
-                expected = reference_step(ds, descriptor, f, direction)
-            except DataError:
-                with pytest.raises(DataError):
-                    optimize_feature(ds, descriptor, f, direction)
-                with pytest.raises(DataError):
-                    kernel.step(f)
-                return
-            assert optimize_feature(ds, descriptor, f, direction) == expected
-            values, score = kernel.step(f)
-            assert values == expected
-            descriptor = descriptor.replace(f, values)
-            assert kernel.constraints == descriptor.constraints
-            # exact: the carried score is the rescored one, bit for bit
-            assert score == score_subgroup(ds, descriptor, direction)[0]
+        kernel = _ScanKernel(ds, list(range(ds.n_features)), direction)
+        kernel.load(descriptor)
+        for op, seed in ops:
+            rng = np.random.default_rng(seed)
+            if op == "load":
+                kernel.load(SubgroupDescriptor(_random_constraints(kernel.cards, rng)))
+            elif op == "step":
+                try:
+                    kernel.step(seed % ds.n_features)
+                except DataError:
+                    pass
+            else:
+                kernel.relabel(ds.outcome[rng.permutation(ds.n_records)])
+            fresh = _bits_from_bool(constraints_bool_mask(ds, kernel.constraints))
+            assert kernel._matching() == fresh
+            for f in range(ds.n_features):
+                if f not in kernel.constraints:
+                    assert kernel._matching(f) == fresh
 
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_cases(cards=st.integers(1, 6)), step=st.integers(0, 3))
@@ -558,7 +638,8 @@ class TestAscent:
         skipping = CountingKernel(ds, feats, config.direction)
         every = CountingKernel(ds, feats, config.direction)
         for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
-            start = _random_descriptor(skipping.cards, np.random.default_rng(child))
+            rng = np.random.default_rng(child)
+            start = SubgroupDescriptor(_random_constraints(skipping.cards, rng))
             score = skipping.load(start)
             assume(score is not None)
             assert every.load(start) == score
@@ -597,7 +678,7 @@ class TestRandomStart:
         card_of = {f: cards[f] for f in features}
         batched, looped = (np.random.default_rng(seed) for _ in range(2))
         for _ in range(starts):
-            assert (_random_descriptor(card_of, batched)
+            assert (SubgroupDescriptor(_random_constraints(card_of, batched))
                     == per_feature_descriptor(card_of, features, looped))
         assert batched.bit_generator.state == looped.bit_generator.state
 
@@ -634,7 +715,7 @@ def reference_scan(dataset, features, config):
         descriptor = SubgroupDescriptor()
         if r > 0:
             for _ in range(100):
-                drawn = _random_descriptor(cards, rng)
+                drawn = SubgroupDescriptor(_random_constraints(cards, rng))
                 if constraints_bool_mask(dataset, drawn.constraints).any():
                     descriptor = drawn
                     break
@@ -719,6 +800,39 @@ class TestRestartPlan:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scanner, "_MAX_PASSES", 1)
             check_restarts(ds, feats, config)
+
+    # 3 records over 30 binary features: every random start falls back; on
+    # 20 records, a third of the draws over 26-77 categories match none, and
+    # the 77-category feature builds its masks from its keys
+    @pytest.mark.parametrize("make", [
+        lambda: random_dataset(0, n=3, n_features=30, max_card=2),
+        lambda: random_dataset(1, n=4, n_features=12, max_card=2),
+        lambda: random_dataset(2, n=40, n_features=6, max_card=5),
+        lambda: random_dataset(0, n=20, n_features=4, max_card=90),
+    ])
+    def test_rejected_starts_match_the_loaded_draws(self, make):
+        ds = make()
+        feats = list(range(ds.n_features))
+        config = ScanConfig(restarts=6, seed=7)
+        plan = _restart_plan(_ScanKernel(ds, feats, OVER), config)
+        # the loop that built and loaded every drawn descriptor
+        kernel = _ScanKernel(ds, feats, OVER)
+        for r, (restart, child) in enumerate(
+                zip(plan, np.random.SeedSequence(config.seed).spawn(config.restarts))):
+            rng = np.random.default_rng(child)
+            start, fell_back = SubgroupDescriptor(), False
+            if r > 0:
+                for _ in range(100):
+                    drawn = SubgroupDescriptor(_random_constraints(kernel.cards, rng))
+                    if kernel.load(drawn) is not None:
+                        start = drawn
+                        break
+                else:
+                    fell_back = True
+            assert (restart.start, restart.fell_back) == (start, fell_back)
+            assert restart.rng.bit_generator.state == rng.bit_generator.state
+        if ds.n_features == 30:
+            assert [r.fell_back for r in plan] == [False] + [True] * 5
 
     def test_memo_is_shared_by_replicates(self):
         ds = planted_dataset(0, n=500, n_noise=3)[0]
