@@ -4,51 +4,15 @@ Records are stored as integer category codes, column-major so that each
 feature's column is contiguous, plus a binary outcome vector. The dataset is
 immutable after construction and safe to share across threads.
 
-Ingest cost. ``load_csv`` reads the file's bytes once. numpy finds their
-line ends and commas with elementwise passes, O(bytes), which check the row
-lengths and give every cell's byte span. A text column, the outcome too, is
-keyed from those bytes: a cell of at most 8 bytes is one 64-bit word read at
-its start, a wider cell a fixed-width bytes string of such words. One
-argsort of the keys encodes the column in first-appearance order, O(N log N)
-integer work with no string built; only each category's first cell is
-decoded, for its label. Python strings are built only for a column whose
-widest cell is longer than the file's mean line, which bounds the keys at
-about one byte per file byte.
-
-Quotes are read as ``csv.reader`` reads them, over runs of adjacent quote
-bytes and with whole-array passes, O(bytes + quotes). A run opens a quoted
-cell when it starts a cell: it follows a comma or a line end outside quotes,
-or starts the text. Inside a quoted cell each pair of quotes is one literal
-quote, and a run of odd length closes the cell at its last quote; text after
-a closing quote joins the cell (``"ab"cd`` is ``abcd``), and any other quote
-is text (``5'10"``, ``a""b``). A cell that is never closed runs to the end of
-the file. An even run leaves the state as it is, an odd run at a cell start
-flips it and any other odd run resets it to outside, so the state after a
-run is the parity of the flips since the last reset, a cumulative XOR over
-the runs. Only commas and line ends outside quoted cells delimit; a
-cumulative XOR over the bytes marks those inside. A quoted cell's span
-moves in past its quotes, and only a cell that holds a doubled quote or text
-after its closing quote is copied, unescaped, to a buffer after the file's
-bytes; a file without a quote runs none of this.
-
-A numeric candidate, a column whose first cell is a number or empty, is
-parsed from the same words, in blocks of 64k cells: a cell of at most 8
-bytes matching ``-?[0-9]*\\.?[0-9]*`` loses its sign and dot, its digits
-become an integer by three multiplies, and one division by a power of ten
-gives what ``float()`` gives, bit for bit; an empty cell is nan. Every other
-cell is declined (a wider cell, an exponent, a space, text). When the
-declined cells are fewer than two a row, ``float()`` decides each one,
-decoded from its span; else one ``np.loadtxt`` pass of numpy's C tokenizer
-parses the candidates that hold them, as float64, and where numpy's float
-parser rejects a cell (an empty cell, ``1_000``, non-ASCII digits, a text
-cell below a number) ``float()`` decides every cell of those columns. Each
-numeric column is binned with one sort, its quantile edges read from the
-sorted copy, and one comparison per bin edge.
+``load_csv`` takes each column's cells from ``tokenizer``, as byte spans of
+the file or as parsed numbers. A text column is encoded in first-appearance
+order by one argsort of its cells' keys. Each numeric column is binned with
+one sort, its quantile edges read from the sorted copy, and one comparison
+per bin edge.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
 import operator
 from dataclasses import dataclass
@@ -57,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .tokenizer import _PAD, _cells, _decimals, _keys, _scan
 
 DEFAULT_BINS = 5
 DEFAULT_MISSING_LABEL = "⟨missing⟩"
@@ -260,135 +225,6 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     return labels, codes
 
 
-# A text column's cells are byte spans of the file: cell i of a column is
-# data[lo[i] + 1:hi[i]], between the delimiters at lo[i] and hi[i]. The data
-# holds no NUL and ends with at least 7 bytes past its last cell, so that an
-# 8-byte word can be read at any cell's start.
-_PAD = bytes(8)
-# _MASKS[n] keeps the first n bytes of a little-endian word
-_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-
-
-def _picks(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The byte offsets of the cells at spans lo, hi, each cell's bytes and
-    then its delimiter at hi, in one array, and where each cell's part of it
-    ends."""
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    return np.arange(int(ends[-1])) + np.repeat(hi + 1 - ends, sizes), ends
-
-
-def _cells(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
-    """A column's cells at byte spans of UTF-8 data, decoded."""
-    # each cell's bytes and the delimiter after it, which becomes a NUL, are
-    # gathered into one buffer; one decode and one split build the strings
-    picks, ends = _picks(lo, hi)
-    joined = np.frombuffer(data, dtype=np.uint8)[picks]
-    joined[ends - 1] = 0
-    return joined.tobytes().decode().split("\0")[:-1]
-
-
-def _words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The bytes at each start of data, as many as its length (0-8), as one
-    little-endian 64-bit word, zero above them."""
-    # every 8-byte window of data, one at each byte
-    windows = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
-    return windows[starts] & _MASKS[lengths]
-
-
-def _decimals(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells at byte spans of data as float64, and a mask of the cells
-    parsed: an empty cell is nan, and a cell of at most 8 bytes matching
-    ``-?[0-9]*\\.?[0-9]*`` with a digit is the value ``float()`` gives it,
-    bit for bit. Every other cell is declined; its value is undefined.
-
-    A cell's word has its sign byte and dot taken out and its digits
-    converted by three multiplies (Lemire, "Number Parsing at a Gigabyte per
-    Second", 2021). The integer, below 10**8, over a power of ten of at most
-    10**8 is one correctly rounded division of exact doubles, so it equals
-    the correctly rounded decimal (Clinger, PLDI 1990).
-    """
-    values = np.empty(lo.size)
-    parsed = np.zeros(lo.size, dtype=bool)
-    # blocks of cells keep the temporaries cache-sized: at 10^6 rows a
-    # column took 130-170 ms in one piece and 60-70 ms in blocks of 16k-64k
-    block = 1 << 16
-    for a in range(0, lo.size, block):
-        starts = lo[a:a + block] + 1
-        lengths = hi[a:a + block] - starts
-        # a cell of 9 or more bytes is declined unread
-        short = lengths <= 8
-        if short.all():
-            rows = slice(a, a + block)
-        elif short.any():
-            rows = np.flatnonzero(short)
-            starts, lengths = starts[rows], lengths[rows]
-            rows += a
-        else:
-            continue
-        values[rows], parsed[rows] = _parse_words(data, starts, lengths)
-    return values, parsed
-
-
-def _parse_words(data: bytes, starts: np.ndarray,
-                 lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_decimals`` of the cells of 0-8 bytes at starts of data."""
-    u8, u64 = np.uint8, np.uint64
-    ones = u64(0x0101010101010101)
-    word = _words(data, starts, lengths)
-    neg = (word & u64(0xFF)) == u64(ord("-"))
-    word >>= neg.view(u8) << u8(3)
-    # one flag byte, 0x01, per digit, per dot and (in `body`) per byte of the
-    # cell after its sign; the bytes past the cell are zero, neither digit
-    # nor dot
-    chars = word.view(u8)
-    digits = ((chars - u8(ord("0"))) < 10).view(u64)
-    dots = (chars == ord(".")).view(u64)
-    body = (_MASKS & ones)[lengths - neg]
-    # every bit below the dot's byte; every bit when there is no dot
-    below = dots - u64(1)
-    empty = lengths == 0
-    ok = ((digits | dots) == body) & ((dots & below) == 0) & ((digits != 0) | empty)
-    # the digits before the dot, as a byte sum: the top byte of a product by
-    # `ones` adds up the bytes
-    before = ((body & below) * ones) >> u64(56)
-    # drop the dot: the bytes above it move down one
-    word = (word & below) | ((word >> u64(8)) & ~below)
-    # the digits, first at the lowest byte and zero-padded to 8, as an
-    # integer, which the padding scales by 10**(8 - before)
-    word = (word & u64(0x0F0F0F0F0F0F0F0F)) * u64(10 * 2**8 + 1) >> u64(8)
-    word = (word & u64(0x00FF00FF00FF00FF)) * u64(100 * 2**16 + 1) >> u64(16)
-    word = (word & u64(0x0000FFFF0000FFFF)) * u64(10000 * 2**32 + 1) >> u64(32)
-    scales = np.array([10 ** (8 - k) for k in range(9)], dtype=np.float64)
-    values = word.astype(np.float64) / scales[before]
-    np.negative(values, out=values, where=neg)  # last, so -0 is -0.0
-    values[empty] = np.nan
-    return values, ok
-
-
-def _keys(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarray:
-    """Sort keys for the cells at byte spans of data, equal exactly where the
-    cells are equal.
-
-    A cell's key is its bytes, zero-padded to the column's widest cell: one
-    little-endian 64-bit word when that cell has at most 8 bytes, else a
-    fixed-width bytes string of such words. An empty cell is zero, and no
-    other is, since no cell holds a NUL. A column whose widest cell is
-    longer than ``limit`` bytes, the file's mean line length, is keyed by
-    its cells as Python strings instead, so that the keys take at most
-    about one byte per file byte.
-    """
-    starts = lo + 1
-    lengths = hi - starts
-    width = int(lengths.max())
-    if width > limit:
-        return np.array(_cells(data, lo, hi), dtype=object)
-    if width <= 8:
-        return _words(data, starts, lengths)
-    words = [_words(data, np.minimum(starts + k, hi), np.clip(lengths - k, 0, 8))
-             for k in range(0, width, 8)]
-    return np.column_stack(words).view(f"S{8 * len(words)}").ravel()
-
 
 def _distinct(data: bytes, lo: np.ndarray, hi: np.ndarray,
               limit: float) -> tuple[list[str], np.ndarray]:
@@ -433,146 +269,6 @@ def _encode_text(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float,
             del labels[dropped]
             codes = remap[codes]
     return labels, codes
-
-
-def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
-    """Every non-blank record must have one field per header column."""
-    bad = np.flatnonzero(fields != ncols)
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"{path}: row {i + 2} has {fields[i]} fields, expected {ncols}")
-
-
-def _scan(data: bytes, size: int, ncols: int, path) -> list[tuple]:
-    """Check the row lengths of CSV bytes (``size`` bytes of data, then its
-    padding) and return each column's cells as byte spans (data, lo, hi):
-    cell i is data[lo[i] + 1:hi[i]]. An unquoted cell lies between its
-    delimiters, the first of which ends the line before in the first
-    column; ``_unquote`` moves a quoted cell's span. A line ends at LF, CR
-    or CRLF, as in csv.reader: every CR and LF outside quotes ends a line
-    here, and the empty line inside a CRLF is skipped with the blank lines."""
-    raw = np.frombuffer(data, dtype=np.uint8, count=size)
-    ends = np.flatnonzero((raw == ord("\r")) | (raw == ord("\n")))
-    commas = np.flatnonzero(raw == ord(","))
-    quoted = b'"' in data
-    if quoted:
-        in_quotes, *runs = _quotes(raw, 3 if data.startswith(codecs.BOM_UTF8) else 0)
-        ends, commas = ends[~in_quotes[ends]], commas[~in_quotes[commas]]
-    stops = np.append(ends, raw.size)
-    starts = np.concatenate(([0], ends + 1))
-    # the commas before each line's end; no comma is a line end, so a
-    # line's first comma follows the last one of the line before
-    last = np.searchsorted(commas, stops)
-    filled = stops[1:] > starts[1:]  # line 0 is the header; blank lines are skipped
-    _check_fields(np.diff(last, prepend=0)[1:][filled] + 1, ncols, path)
-    # every data line now holds ncols - 1 commas, in file order
-    bounds = commas[last[0]:].reshape(-1, ncols - 1)
-    row_lo, row_hi = starts[1:][filled] - 1, stops[1:][filled]
-    # a contiguous copy of each column, which is read several times: 20k
-    # offsets took about 7 us to read contiguous, 40 us strided across rows.
-    # Column by column, the copies loaded scan-large inputs about 3 ms
-    # faster than one transposed copy of the whole matrix
-    if quoted:
-        data, lo, hi = _unquote(data, size, row_lo, bounds, row_hi, in_quotes, *runs)
-        lo, hi = [c.copy() for c in lo], [c.copy() for c in hi]
-    else:
-        cols = [c.copy() for c in bounds.T]
-        lo, hi = [row_lo, *cols], [*cols, row_hi]
-    return [(data, a, b) for a, b in zip(lo, hi)]
-
-
-def _quotes(raw: np.ndarray, origin: int) -> tuple[np.ndarray, ...]:
-    """Where csv.reader's quoted cells lie in CSV bytes with a quote, whose
-    text starts at byte ``origin``: a mask of the bytes inside a quoted
-    cell (at a quote, whether one is open after the quote's run), and the
-    runs of adjacent quote bytes, as their starts, their lengths and
-    whether each starts a cell.
-
-    A run starts a cell when it starts the text or follows a comma, CR or
-    LF. The runs decide the state on their own: an even run leaves it as it
-    is, an odd run at a cell start flips it (it opens a cell, or closes one
-    at a comma inside it), and any other odd run resets it to outside (it
-    closes a cell, or is text).
-    """
-    quotes = np.flatnonzero(raw == ord('"'))
-    head = np.ones(quotes.size + 1, dtype=bool)
-    np.not_equal(np.diff(quotes), 1, out=head[1:-1])
-    heads = np.flatnonzero(head)
-    start, length = quotes[heads[:-1]], np.diff(heads)
-    odd = (length & 1).astype(bool)
-    before = raw[start - 1]
-    at_cell = (before == ord(",")) | (before == ord("\r")) | (before == ord("\n"))
-    at_cell[0] |= start[0] == origin
-    # the state after a run is the parity of the flips since the last reset:
-    # the parity of all flips so far, less that parity at the last reset
-    toggles = odd & at_cell
-    resets = np.flatnonzero(odd & ~at_cell)
-    parity = np.logical_xor.accumulate(toggles)[resets]
-    toggles[resets[1:]] = parity[1:] ^ parity[:-1]
-    toggles[resets[:1]] = parity[:1]
-    # each byte's state is the one after the last run before it
-    in_quotes = np.zeros(raw.size, dtype=bool)
-    in_quotes[start] = toggles
-    np.logical_xor.accumulate(in_quotes, out=in_quotes)
-    return in_quotes, start, length, at_cell
-
-
-def _unquote(data: bytes, size: int, row_lo: np.ndarray, bounds: np.ndarray, row_hi: np.ndarray,
-             in_quotes: np.ndarray, start: np.ndarray, length: np.ndarray,
-             at_cell: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """The spans lo, hi of a quoted file's columns, from the delimiters
-    before and after each data row and the commas between (``bounds``),
-    with each cell whose first byte is a quote read as csv.reader reads it,
-    given ``_quotes``.
-
-    Such a cell starts after its opening quote and ends before its last
-    byte when that is a quote too: ``"…"`` and ``""`` are then read, and
-    so is an unclosed ``"…``, which only the file's end ends. A cell that
-    still holds a quote, a doubled one or one that closes it before more
-    text, is unescaped into a buffer after the file's bytes."""
-    padded = np.frombuffer(data, dtype=np.uint8)
-    # a row of cells per record, in file order
-    lo = np.concatenate((row_lo[:, None], bounds), axis=1)
-    hi = np.concatenate((bounds, row_hi[:, None]), axis=1)
-    opened = padded[1:][lo] == ord('"')  # each cell's first byte
-    # the quote bytes left in the data rows; the header is csv.reader's
-    left = length[np.searchsorted(start, lo[0, 0]):].sum() - np.count_nonzero(opened)
-    lo += opened
-    hi -= 1  # each cell's last byte, for now
-    closed = opened & (hi > lo) & (padded[hi] == ord('"'))
-    hi += ~closed
-    left -= np.count_nonzero(closed)
-    if not left:
-        return data, lo.T, hi.T
-    # the cells that still hold a quote
-    quotes = np.flatnonzero(padded[:size] == ord('"'))
-    row, col = np.nonzero(opened)
-    held = np.searchsorted(quotes, hi[row, col]) > np.searchsorted(quotes, lo[row, col] + 1)
-    row, col = row[held], col[held]
-    if not row.size:
-        return data, lo.T, hi.T  # the quotes left are text in unquoted cells
-    # their bytes after the opening quote, less the quotes csv.reader drops,
-    # and the byte at their end, which becomes a separator
-    drop = quotes[_syntax(quotes, start, length, at_cell, in_quotes)]
-    picks, ends = _picks(lo[row, col], hi[row, col] + closed[row, col])
-    keep = drop[np.minimum(np.searchsorted(drop, picks), drop.size - 1)] != picks
-    keep[ends - 1] = True
-    seps = size + np.cumsum(keep)[ends - 1] - 1
-    lo[row, col], hi[row, col] = np.append(size - 1, seps[:-1]), seps
-    return b"".join((memoryview(data)[:size], padded[picks[keep]], _PAD)), lo.T, hi.T
-
-
-def _syntax(quotes: np.ndarray, start: np.ndarray, length: np.ndarray, at_cell: np.ndarray,
-            in_quotes: np.ndarray) -> np.ndarray:
-    """A mask of the quote bytes at ``quotes`` that csv.reader drops, given
-    ``_quotes``: a cell's opening quote, the first of each pair inside a
-    quoted cell, and a closing quote."""
-    inside = in_quotes[start - 1] & (start > 0)  # before each run
-    opens = at_cell & ~inside
-    run = np.repeat(np.arange(start.size), length)
-    offset = quotes - start[run]
-    phase = opens[run]  # an opening run's first quote opens its cell
-    return (phase | inside[run]) & ((offset == 0) | ((offset + phase) & 1 == 0))
 
 
 def load_csv(path, outcome_column: str,

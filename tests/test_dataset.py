@@ -22,14 +22,8 @@ from safs import (
     subgroup_mask,
 )
 from safs import dataset
-from safs.dataset import (
-    DEFAULT_MISSING_LABEL,
-    _bin_labels,
-    _decimals,
-    _encode_numeric,
-    _encode_text,
-    _keys,
-)
+from safs.dataset import DEFAULT_MISSING_LABEL, _bin_labels, _encode_numeric, _encode_text
+from safs.tokenizer import _decimals, _keys
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
 
