@@ -3,17 +3,11 @@
 Records are stored as integer category codes, column-major so that each
 feature's column is contiguous, plus a binary outcome vector. The dataset is
 immutable after construction and safe to share across threads.
-
-``load_csv`` takes each column's cells from ``tokenizer``, as byte spans of
-the file or as parsed numbers. A text column is encoded in first-appearance
-order by one argsort of its cells' keys. Each numeric column is binned with
-one sort, its quantile edges read from the sorted copy, and one comparison
-per bin edge.
 """
 
 from __future__ import annotations
 
-import csv
+import io
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -21,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .tokenizer import _PAD, _cells, _decimals, _keys, _scan
+from .tokenizer import _cells, _decimals, _keys, read_csv
 
 DEFAULT_BINS = 5
 DEFAULT_MISSING_LABEL = "⟨missing⟩"
@@ -285,43 +279,25 @@ def load_csv(path, outcome_column: str,
     """
     spec = discretization or DiscretizationSpec()
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if b"\0" in data:
-            raise DataError(f"{path}: contains a NUL byte, so it is not UTF-8 CSV text")
-        if not data.isascii():
-            # most cells are keyed from their bytes and never decoded
-            data.decode("utf-8")
-        size = len(data)
-        data += _PAD
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            # readline, not iteration, keeps fh.tell() usable
-            lines = csv.reader(iter(fh.readline, ""))
-            try:
-                header = next(lines)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            start = fh.tell()
-            y_col = _check_header(header, outcome_column, path)
-            first = next(filter(None, lines), None)
-            if first is None:
-                raise DataError(f"{path}: no data rows")
-            # a column may be numeric when its first cell is a number or empty
-            numeric = [j for j, cell in enumerate(first) if j != y_col
-                       and (cell == "" or _parse_numbers([cell]) is not None)]
-            columns = _columns(fh, start, path, data, size, header, numeric)
-        del data
+        header, columns, body = read_csv(
+            path, lambda names: _check_header(names, outcome_column, path))
+        y_col = header.index(outcome_column)
+        # a column may be numeric when its first cell is a number or empty
+        first = [data[lo[0] + 1:hi[0]].decode() for data, lo, hi in columns]
+        numeric = [j for j, cell in enumerate(first) if j != y_col
+                   and (cell == "" or _parse_numbers([cell]) is not None)]
+        size = len(body)
+        columns = _columns(columns, numeric, body)
+        del body
         return _encode_columns(header, y_col, columns, size, spec)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
-def _check_header(header: list[str], outcome_column: str, path) -> int:
-    """The outcome column's index, once the header is known to be usable."""
+def _check_header(header: list[str], outcome_column: str, path) -> None:
+    """A usable header: unique names, the outcome among them and a feature."""
     seen: set[str] = set()
     for name in header:
         if name in seen:
@@ -331,18 +307,13 @@ def _check_header(header: list[str], outcome_column: str, path) -> int:
         raise DataError(f"outcome column {outcome_column!r} not found in header")
     if len(header) < 2:
         raise DataError(f"{path}: no feature columns besides the outcome")
-    return header.index(outcome_column)
 
 
-def _columns(fh, start: int, path, data: bytes, size: int, header: list[str],
-             numeric: list[int]) -> list:
-    """The columns of CSV bytes (``size`` bytes of data, then its padding),
-    the records after the header starting at ``start`` of the open file fh:
-    parsed float64 cells for a numeric column, else the cells' byte spans
-    (data, lo, hi). ``_decimals`` parses the numeric candidates' plain
-    decimals from their words; ``float()`` or one ``np.loadtxt`` pass
-    decides the cells it declines."""
-    columns = _scan(data, size, len(header), path)
+def _columns(columns: list, numeric: list[int], body: memoryview) -> list:
+    """Each column's spans, or its parsed float64 cells if it is numeric.
+    ``_decimals`` parses the ``numeric`` candidates' plain decimals from
+    their words; ``float()`` or one ``np.loadtxt`` pass over ``body``, the
+    records after the header, decides the cells it declines."""
     rows = columns[0][1].size
     parsed, done = {}, {}
     for j in numeric:
@@ -367,13 +338,14 @@ def _columns(fh, start: int, path, data: bytes, size: int, header: list[str],
                 parsed[j] = None
     else:
         try:
+            # numpy's C tokenizer: commas, double quotes opening a cell only
+            # at its start, as in csv.reader, and '#' an ordinary character;
+            # it splits CR-only lines from text (newline=""), not from bytes
+            with io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="") as text:
+                loaded = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
+                                    usecols=rest, ndmin=2)
             # one copy makes each column contiguous: binning ten 20k-row
             # columns took 8.4 ms, against 10.6 ms on the rows' strided ones
-            # numpy's C tokenizer: commas, double quotes opening a cell only
-            # at its start, as in csv.reader, and '#' an ordinary character
-            fh.seek(start)
-            loaded = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                usecols=rest, ndmin=2)
             loaded = np.ascontiguousarray(loaded.T)
             parsed.update(zip(rest, loaded))
         except ValueError:
@@ -392,8 +364,8 @@ def _columns(fh, start: int, path, data: bytes, size: int, header: list[str],
 def _encode_columns(header: list[str], y_col: int, columns: list, size: int,
                     spec: DiscretizationSpec) -> DiscreteDataset:
     """Encode every column: the outcome to 0/1, a numeric column to quantile
-    bins, a text column to its distinct cells. ``size`` is the file's byte
-    count; a text column wider than a mean line keys Python strings."""
+    bins, a text column to its distinct cells. ``size`` is the records' byte
+    count; a text column wider than a mean record keys Python strings."""
     limit = size / len(columns[y_col][1])
     outcome = _encode_outcome(*_distinct(*columns[y_col], limit), header[y_col])
     schemas: list[FeatureSchema] = []

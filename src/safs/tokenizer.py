@@ -1,15 +1,13 @@
 """CSV bytes to column spans: the byte tokenizer behind ``load_csv``.
 
-Ingest cost. ``load_csv`` reads the file's bytes once. numpy finds their
-line ends and commas with elementwise passes, O(bytes), which check the row
-lengths and give every cell's byte span. A text column, the outcome too, is
-keyed from those bytes: a cell of at most 8 bytes is one 64-bit word read at
-its start, a wider cell a fixed-width bytes string of such words. One
-argsort of the keys encodes the column in first-appearance order, O(N log N)
-integer work with no string built; only each category's first cell is
-decoded, for its label. Python strings are built only for a column whose
-widest cell is longer than the file's mean line, which bounds the keys at
-about one byte per file byte.
+``read_csv`` reads the file once, and one byte scan reads all of it, the
+header row too. numpy finds the line ends and commas with elementwise
+passes, O(bytes), which give the header's names, check the row lengths and
+give every cell's byte span. A text column, the outcome too, is keyed from
+those bytes: a cell of at most 8 bytes is one 64-bit word read at its start,
+a wider cell a fixed-width bytes string of such words. Python strings are
+built only for a column whose widest cell is longer than a mean record,
+which bounds the keys at about one byte per file byte.
 
 Quotes are read as ``csv.reader`` reads them, over runs of adjacent quote
 bytes and with whole-array passes, O(bytes + quotes). A run opens a quoted
@@ -32,17 +30,13 @@ parsed from the same words, in blocks of 64k cells: a cell of at most 8
 bytes matching ``-?[0-9]*\\.?[0-9]*`` loses its sign and dot, its digits
 become an integer by three multiplies, and one division by a power of ten
 gives what ``float()`` gives, bit for bit; an empty cell is nan. Every other
-cell is declined (a wider cell, an exponent, a space, text). When the
-declined cells are fewer than two a row, ``float()`` decides each one,
-decoded from its span; else one ``np.loadtxt`` pass of numpy's C tokenizer
-parses the candidates that hold them, as float64, and where numpy's float
-parser rejects a cell (an empty cell, ``1_000``, non-ASCII digits, a text
-cell below a number) ``float()`` decides every cell of those columns.
+cell is declined (a wider cell, an exponent, a space, text).
 """
 
 from __future__ import annotations
 
 import codecs
+from typing import Callable
 
 import numpy as np
 
@@ -163,7 +157,7 @@ def _keys(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarr
     little-endian 64-bit word when that cell has at most 8 bytes, else a
     fixed-width bytes string of such words. An empty cell is zero, and no
     other is, since no cell holds a NUL. A column whose widest cell is
-    longer than ``limit`` bytes, the file's mean line length, is keyed by
+    longer than ``limit`` bytes, the mean record's length, is keyed by
     its cells as Python strings instead, so that the keys take at most
     about one byte per file byte.
     """
@@ -179,39 +173,52 @@ def _keys(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarr
     return np.column_stack(words).view(f"S{8 * len(words)}").ravel()
 
 
-def _check_fields(fields: np.ndarray, ncols: int, path) -> None:
-    """Every non-blank record must have one field per header column."""
-    bad = np.flatnonzero(fields != ncols)
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"{path}: row {i + 2} has {fields[i]} fields, expected {ncols}")
+def read_csv(path, check_header: Callable) -> tuple[list[str], list[tuple], memoryview]:
+    """Read the CSV file at ``path``, in one read: its header's names, each
+    column's cells as byte spans (data, lo, hi), where cell i is
+    data[lo[i] + 1:hi[i]], and the bytes of the records after the header.
+    ``check_header`` sees the names before any record's length is checked.
 
-
-def _scan(data: bytes, size: int, ncols: int, path) -> list[tuple]:
-    """Check the row lengths of CSV bytes (``size`` bytes of data, then its
-    padding) and return each column's cells as byte spans (data, lo, hi):
-    cell i is data[lo[i] + 1:hi[i]]. An unquoted cell lies between its
-    delimiters, the first of which ends the line before in the first
-    column; ``_unquote`` moves a quoted cell's span. A line ends at LF, CR
-    or CRLF, as in csv.reader: every CR and LF outside quotes ends a line
-    here, and the empty line inside a CRLF is skipped with the blank lines."""
+    Line 0 is the header. An unquoted cell lies between its delimiters, the
+    first of which ends the line before in the first column; ``_unquote``
+    moves a quoted cell's span. A line ends at LF, CR or CRLF, as in
+    csv.reader: every CR and LF outside quotes ends a line here, and the
+    empty line inside a CRLF is skipped with the blank lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\0" in data:
+        raise DataError(f"{path}: contains a NUL byte, so it is not UTF-8 CSV text")
+    if not data.isascii():
+        # most cells are keyed from their bytes and never decoded
+        data.decode("utf-8")
+    size = len(data)
+    data += _PAD
+    origin = 3 if data.startswith(codecs.BOM_UTF8) else 0
+    if size == origin:
+        raise DataError(f"{path}: empty file")
     raw = np.frombuffer(data, dtype=np.uint8, count=size)
     ends = np.flatnonzero((raw == ord("\r")) | (raw == ord("\n")))
     commas = np.flatnonzero(raw == ord(","))
     quoted = b'"' in data
     if quoted:
-        in_quotes, *runs = _quotes(raw, 3 if data.startswith(codecs.BOM_UTF8) else 0)
+        in_quotes, *runs = _quotes(raw, origin)
         ends, commas = ends[~in_quotes[ends]], commas[~in_quotes[commas]]
     stops = np.append(ends, raw.size)
-    starts = np.concatenate(([0], ends + 1))
+    starts = np.concatenate(([origin], ends + 1))
     # the commas before each line's end; no comma is a line end, so a
     # line's first comma follows the last one of the line before
     last = np.searchsorted(commas, stops)
-    filled = stops[1:] > starts[1:]  # line 0 is the header; blank lines are skipped
-    _check_fields(np.diff(last, prepend=0)[1:][filled] + 1, ncols, path)
-    # every data line now holds ncols - 1 commas, in file order
-    bounds = commas[last[0]:].reshape(-1, ncols - 1)
-    row_lo, row_hi = starts[1:][filled] - 1, stops[1:][filled]
+    ncols = int(last[0]) + 1
+    keep = np.append(True, stops[1:] > starts[1:])  # line 0, the header; no blank line
+    fields = np.diff(last, prepend=0)[keep] + 1
+    bad = np.flatnonzero(fields != ncols)[:1]  # the first record of the wrong length
+    records, fields = fields.size - 1, fields[bad]  # keeps only the count an error names
+    # the rows of spans, the header's and the records' when each holds ncols
+    # fields: every such line holds ncols - 1 commas, in file order
+    keep[1:] &= not bad.size
+    row_lo, row_hi = starts[keep] - 1, stops[keep]
+    bounds = commas[:last[0] if bad.size else None].reshape(row_lo.size, ncols - 1)
+    body = memoryview(data)[stops[0] + 1:size]
     # a contiguous copy of each column, which is read several times: 20k
     # offsets took about 7 us to read contiguous, 40 us strided across rows.
     # Column by column, the copies loaded scan-large inputs about 3 ms
@@ -222,7 +229,14 @@ def _scan(data: bytes, size: int, ncols: int, path) -> list[tuple]:
     else:
         cols = [c.copy() for c in bounds.T]
         lo, hi = [row_lo, *cols], [*cols, row_hi]
-    return [(data, a, b) for a, b in zip(lo, hi)]
+    # cell 0 of each column is its name; csv.reader reads a blank line 0 as no names
+    header = [data[a[0] + 1:b[0]].decode() for a, b in zip(lo, hi)] if stops[0] > origin else []
+    check_header(header)
+    if not records:
+        raise DataError(f"{path}: no data rows")
+    if bad.size:
+        raise DataError(f"{path}: row {bad[0] + 1} has {fields[0]} fields, expected {ncols}")
+    return header, [(data, a[1:], b[1:]) for a, b in zip(lo, hi)], body
 
 
 def _quotes(raw: np.ndarray, origin: int) -> tuple[np.ndarray, ...]:
@@ -265,9 +279,9 @@ def _unquote(data: bytes, size: int, row_lo: np.ndarray, bounds: np.ndarray, row
              in_quotes: np.ndarray, start: np.ndarray, length: np.ndarray,
              at_cell: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The spans lo, hi of a quoted file's columns, from the delimiters
-    before and after each data row and the commas between (``bounds``),
-    with each cell whose first byte is a quote read as csv.reader reads it,
-    given ``_quotes``.
+    before and after each row, the header's too, and the commas between
+    (``bounds``), with each cell whose first byte is a quote read as
+    csv.reader reads it, given ``_quotes``.
 
     Such a cell starts after its opening quote and ends before its last
     byte when that is a quote too: ``"…"`` and ``""`` are then read, and
@@ -275,12 +289,11 @@ def _unquote(data: bytes, size: int, row_lo: np.ndarray, bounds: np.ndarray, row
     still holds a quote, a doubled one or one that closes it before more
     text, is unescaped into a buffer after the file's bytes."""
     padded = np.frombuffer(data, dtype=np.uint8)
-    # a row of cells per record, in file order
+    # a row of cells per line, in file order
     lo = np.concatenate((row_lo[:, None], bounds), axis=1)
     hi = np.concatenate((bounds, row_hi[:, None]), axis=1)
-    opened = padded[1:][lo] == ord('"')  # each cell's first byte
-    # the quote bytes left in the data rows; the header is csv.reader's
-    left = length[np.searchsorted(start, lo[0, 0]):].sum() - np.count_nonzero(opened)
+    opened = padded[lo + 1] == ord('"')  # each cell's first byte
+    left = length.sum() - np.count_nonzero(opened)  # the quote bytes left
     lo += opened
     hi -= 1  # each cell's last byte, for now
     closed = opened & (hi > lo) & (padded[hi] == ord('"'))
