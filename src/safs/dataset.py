@@ -166,16 +166,6 @@ def _encode_outcome(labels: list[str], codes: np.ndarray, column: str) -> np.nda
     return outcome
 
 
-def _parse_numbers(cells: list[str]) -> np.ndarray | None:
-    """A numeric column's cells as floats (empty cells become nan), or None
-    when some cell is not a number or every cell is empty."""
-    try:
-        parsed = np.array([float(c) if c != "" else np.nan for c in cells])
-    except ValueError:
-        return None
-    return parsed if any(c != "" for c in cells) else None
-
-
 def _bin_labels(edges: np.ndarray) -> list[str]:
     # the fewest significant digits, from 6, at which the edges print apart;
     # distinct floats always differ at 17
@@ -192,21 +182,20 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     finite = parsed[np.isfinite(parsed)]  # -inf and inf join the edge bins
     if not finite.size:
         raise DataError(f"numeric column {name!r} has no finite value")
+    # -0.0 becomes 0.0: the sort may place the two zeros either way, and a
+    # zero edge would print "-0" or "0" by the cells' order. The codes below
+    # read the raw cells, where -0.0 and 0.0 compare equal
+    finite += 0.0
     # np.quantile partitions a sorted copy much faster than the cells in
     # their own order: a sort plus np.quantile took 0.33 ms on a column of
     # 20k lognormal values, np.quantile alone 0.68 ms
     ordered = np.sort(finite)
-    # interior quantile edges; ties collapse, possibly down to a single bin
-    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.quantile(ordered, qs) if qs.size else np.array([])
-    # equal floats are equal bit for bit but for -0.0 and 0.0, which the two
-    # orders may place apart, and a nonzero interpolation does not depend on
-    # the sign of a zero: only a zero edge may print otherwise ("-0", "0")
-    if not edges.all():
-        edges = np.quantile(finite, qs)
-    edges = np.unique(edges)
-    # an edge at or above the max (or below the min) would leave a dead bin
-    edges = edges[(edges >= ordered[0]) & (edges < ordered[-1])]
+    edges = np.quantile(ordered, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    # an edge stays when its bin holds a cell and some cell lies above it:
+    # tied edges, and an interpolated edge with no cell between it and the
+    # one below, collapse, possibly down to a single bin
+    cuts = np.searchsorted(ordered, edges, side="right")
+    edges = edges[(np.diff(cuts, prepend=0) > 0) & (cuts < ordered.size)]
     labels = _bin_labels(edges)
     # a cell's bin is the number of edges below it; nan is below none
     codes = np.zeros(parsed.size, dtype=np.int32)
@@ -269,11 +258,15 @@ def load_csv(path, outcome_column: str,
              discretization: DiscretizationSpec | None = None) -> DiscreteDataset:
     """Load a header-bearing CSV into a DiscreteDataset.
 
-    Numeric columns are quantile-binned per the discretization spec; text
-    columns keep their distinct values in first-appearance order. A column is
-    numeric when Python's ``float()`` accepts every non-empty cell. Missing
-    cells (empty fields, and nan in numeric columns) become a dedicated
-    category. The outcome column must parse to {0, 1} ("0"/"1"/"true"/
+    Numeric columns are quantile-binned per the discretization spec: tied
+    edges, and edges with no cell between them, collapse, so every bin holds
+    a record, and the labels depend only on the column's values, not on
+    their order. Text columns keep their distinct values in first-appearance
+    order. A column is numeric when Python's ``float()`` accepts every
+    non-empty cell. Missing cells (empty fields, and nan in numeric columns)
+    become a dedicated category; a column of empty cells only is that one
+    category, but a numeric column with no finite cell (all nan or inf) is
+    a ``DataError``. The outcome column must parse to {0, 1} ("0"/"1"/"true"/
     "false", case-insensitive). A UTF-8 byte-order mark is skipped; duplicate
     column names and NUL bytes are rejected.
     """
@@ -283,9 +276,14 @@ def load_csv(path, outcome_column: str,
             path, lambda names: _check_header(names, outcome_column, path))
         y_col = header.index(outcome_column)
         # a column may be numeric when its first cell is a number or empty
-        first = [data[lo[0] + 1:hi[0]].decode() for data, lo, hi in columns]
-        numeric = [j for j, cell in enumerate(first) if j != y_col
-                   and (cell == "" or _parse_numbers([cell]) is not None)]
+        numeric = []
+        for j, (data, lo, hi) in enumerate(columns):
+            try:
+                float(data[lo[0] + 1:hi[0]].decode() or "0")
+            except ValueError:
+                continue
+            if j != y_col:
+                numeric.append(j)
         size = len(body)
         columns = _columns(columns, numeric, body)
         del body
@@ -313,7 +311,8 @@ def _columns(columns: list, numeric: list[int], body: memoryview) -> list:
     """Each column's spans, or its parsed float64 cells if it is numeric.
     ``_decimals`` parses the ``numeric`` candidates' plain decimals from
     their words; ``float()`` or one ``np.loadtxt`` pass over ``body``, the
-    records after the header, decides the cells it declines."""
+    records after the header, decides the cells it declines, and ``float()``
+    does when numpy rejects one of them."""
     rows = columns[0][1].size
     parsed, done = {}, {}
     for j in numeric:
@@ -328,15 +327,7 @@ def _columns(columns: list, numeric: list[int], body: memoryview) -> list:
     # short decimals, one %.8f column (one declined cell a row) loaded in
     # 35.9 ms by float() against 41.9 ms by np.loadtxt, two such columns
     # tied, and three were faster by np.loadtxt.
-    if sum(declined.values()) < 2 * rows:
-        for j in rest:
-            data, lo, hi = columns[j]
-            cells = np.flatnonzero(~done[j])
-            try:
-                parsed[j][cells] = [float(c) for c in _cells(data, lo[cells], hi[cells])]
-            except ValueError:
-                parsed[j] = None
-    else:
+    if sum(declined.values()) >= 2 * rows:
         try:
             # numpy's C tokenizer: commas, double quotes opening a cell only
             # at its start, as in csv.reader, and '#' an ordinary character;
@@ -346,13 +337,20 @@ def _columns(columns: list, numeric: list[int], body: memoryview) -> list:
                                     usecols=rest, ndmin=2)
             # one copy makes each column contiguous: binning ten 20k-row
             # columns took 8.4 ms, against 10.6 ms on the rows' strided ones
-            loaded = np.ascontiguousarray(loaded.T)
-            parsed.update(zip(rest, loaded))
+            parsed.update(zip(rest, np.ascontiguousarray(loaded.T)))
+            rest = []
         except ValueError:
-            # numpy's float parser takes a subset of what float() takes;
-            # finding the columns it rejected would cost a pass per column,
-            # so float() decides every cell of these columns
-            parsed.update((j, _parse_numbers(_cells(*columns[j]))) for j in rest)
+            # numpy's float parser takes a subset of what float() takes (it
+            # rejects an empty cell, or one such as 1_000): float() decides
+            # the declined cells; the word-parsed ones hold float()'s values
+            pass
+    for j in rest:
+        data, lo, hi = columns[j]
+        cells = np.flatnonzero(~done[j])
+        try:
+            parsed[j][cells] = [float(c) for c in _cells(data, lo[cells], hi[cells])]
+        except ValueError:
+            parsed[j] = None
     for j, values in parsed.items():
         # parsed cells are never nan but empty ones: a column of empty
         # cells only is text

@@ -333,13 +333,15 @@ class TestSweepCommand:
 class TestSearchLimits:
 
     def test_fallback_starts_in_volatile(self, capsys, tmp_path):
-        # 2 records over 30 binary features: every random start falls back
+        # 2 records over 60 binary features, about half of them not constant:
+        # a random start keeps a record with odds near (2/3)^30, so every
+        # random start falls back
         path = tmp_path / "sparse.csv"
-        write_csv(path, random_dataset(0, n=2, n_features=30, max_card=2))
+        write_csv(path, random_dataset(0, n=2, n_features=60, max_card=2))
         base = ["--input", str(path), "--outcome-col", "y", "--restarts", "4"]
         docs = [json.loads(run(capsys, ["scan", *base])[1]),
                 json.loads(run(capsys, ["pipeline", *base, "--permutations", "2"])[1]),
-                json.loads(run(capsys, ["sweep", *base, "--k", "30"])[1])]
+                json.loads(run(capsys, ["sweep", *base, "--k", "60"])[1])]
         for doc in docs:
             assert doc["volatile"]["fallback_starts"] == 3
             assert doc["volatile"]["truncated_ascents"] == 0

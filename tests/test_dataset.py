@@ -239,6 +239,17 @@ class TestIngestRules:
             assert ds.schemas[m].values[0].startswith("(-inf,")
             assert ds.codes[:, m].tolist() == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("cells", [["nan", "nan"], ["inf", "-inf", "nan"], ["", "nan"]])
+    def test_numeric_column_without_a_finite_cell_is_a_data_error(self, tmp_path, cells):
+        rows = "".join(f"{cell},A,{i % 2}\n" for i, cell in enumerate(cells))
+        with pytest.raises(DataError, match="numeric column 'x' has no finite value"):
+            load_csv(write(tmp_path, "x,c,y\n" + rows), "y")
+
+    def test_column_of_empty_cells_is_one_missing_category(self, tmp_path):
+        ds = load_csv(write(tmp_path, "e,c,y\n,A,1\n,B,0\n,A,0\n"), "y")
+        assert ds.schemas[0].values == (DEFAULT_MISSING_LABEL,)
+        assert ds.codes[:, 0].tolist() == [0, 0, 0]
+
     def test_text_cell_after_numeric_rows_makes_a_text_column(self, tmp_path):
         ds = load_csv(write(tmp_path, "x,y\n1.5,1\n2.5,0\nabc,1\n1.5,0\n"), "y")
         assert ds.schemas[0].values == ("1.5", "2.5", "abc")
@@ -340,6 +351,27 @@ class TestIngestRules:
         ds = load_csv(path, "y")
         assert [kw["usecols"] for kw in seen] == [[0, 1]]
         assert decoded == []
+        assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == reference_load(path, "y")
+
+    def test_float_decides_only_the_declined_cells_np_loadtxt_rejects(self, tmp_path,
+                                                                       monkeypatch):
+        # three columns of %.8f cells, declined by the word parse, with a
+        # short %.2f cell on every fifth row, which it reads: one np.loadtxt
+        # pass runs, and rejects a 1_000.5 cell, which float() accepts.
+        # float() then decides the declined cells only
+        rng = np.random.default_rng(6)
+        rows = [[f"{rng.lognormal():.{2 if i % 5 == 0 else 8}f}" for _ in range(3)]
+                for i in range(300)]
+        rows[7][1] = "1_000.5"
+        path = write(tmp_path, "a,b,c,y\n" + "".join(
+            ",".join(row + [str(i % 2)]) + "\n" for i, row in enumerate(rows)))
+        seen, decoded = [], []
+        loadtxt, cells = np.loadtxt, dataset._cells
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
+        monkeypatch.setattr(dataset, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
+        ds = load_csv(path, "y")
+        assert [kw["usecols"] for kw in seen] == [[0, 1, 2]]
+        assert sorted(decoded) == sorted(c for row in rows for c in row if len(c) > 8 or "_" in c)
         assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == reference_load(path, "y")
 
     @pytest.mark.parametrize("text", [
@@ -525,13 +557,26 @@ def text_columns(draw):
     return draw(st.lists(cell, min_size=1, max_size=40)), missing_label
 
 
+@st.composite
+def zero_columns(draw):
+    """Numeric cells with -0.0 and 0.0 mixed among few other values, so that
+    zero edges are common, and an order of them."""
+    cells = draw(st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, -0.2, 1.0, 2.5, -3.0,
+                                           np.inf, np.nan]), min_size=1, max_size=30)
+                 .filter(lambda cells: np.isfinite(cells).any()))
+    return cells, draw(st.permutations(range(len(cells))))
+
+
 def quantile_edges(parsed, bins):
     """The interior bin edges: np.quantile over the finite cells in their
-    own order, ties collapsed, and none at or above the max or below the min."""
-    finite = parsed[np.isfinite(parsed)]
-    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.unique(np.quantile(finite, qs)) if qs.size else np.array([])
-    return edges[(edges >= finite.min()) & (edges < finite.max())]
+    own order, -0.0 read as 0.0, each edge kept only when some cell lies
+    between it and the last kept edge and some cell lies above it."""
+    finite = parsed[np.isfinite(parsed)] + 0.0
+    kept = [-np.inf]
+    for edge in np.quantile(finite, np.linspace(0.0, 1.0, bins + 1)[1:-1]):
+        if ((finite > kept[-1]) & (finite <= edge)).any() and (finite > edge).any():
+            kept.append(edge)
+    return np.array(kept[1:])
 
 
 def digitize_codes(parsed, bins):
@@ -558,10 +603,46 @@ class TestIngestProperties:
             return
         labels, codes = _encode_numeric("x", parsed, bins, DEFAULT_MISSING_LABEL)
         assert codes.tolist() == digitize_codes(parsed, bins)
-        # the printed edges too, where -0.0 and 0.0 differ ("-0", "0")
         printed = _bin_labels(quantile_edges(parsed, bins))
         assert labels[:len(printed)] == printed
         assert (labels[-1] == DEFAULT_MISSING_LABEL) == bool(np.isnan(parsed).any())
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.integers(-4, 4).map(float) | st.sampled_from(
+               [-0.0, 0.5, np.inf, -np.inf, np.nan]) | st.floats(-10, 10),
+               min_size=1, max_size=50).filter(lambda cells: np.isfinite(cells).any()),
+           bins=st.integers(1, 8))
+    @example(cells=[1.0, -1.0, 1.0, 3.0, 2.0], bins=5)  # an interpolated edge at 1.4
+    @example(cells=[-1.0, -0.0, 0.0, 0.0, 2.0, 3.0], bins=5)  # an edge at 8.88e-16
+    def test_every_bin_holds_a_record(self, cells, bins):
+        labels, codes = _encode_numeric("x", np.array(cells), bins, DEFAULT_MISSING_LABEL)
+        counts = np.bincount(codes, minlength=len(labels))
+        binned = len(labels) - (labels[-1] == DEFAULT_MISSING_LABEL)
+        assert counts[:binned].all(), (labels, counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=zero_columns(), bins=st.integers(1, 8))
+    @example(column=([2.5, 0.0, -0.0, -0.2, -0.0], [3, 4, 0, 2, 1]), bins=5)
+    def test_labels_do_not_depend_on_zero_signs_or_row_order(self, column, bins):
+        cells, order = map(np.array, column)
+        labels, codes = _encode_numeric("x", cells, bins, DEFAULT_MISSING_LABEL)
+        again, moved = _encode_numeric("x", cells[order], bins, DEFAULT_MISSING_LABEL)
+        assert again == labels
+        assert moved.tolist() == codes[order].tolist()
+        assert not any(re.search(r"-0[,\]]", label) for label in labels)
+
+    @pytest.mark.parametrize("bins", [1, 5])
+    def test_np_quantile_runs_once_per_numeric_column(self, tmp_path, monkeypatch, bins):
+        # column m has -0.0 and 0 cells where its middle edges lie
+        rows = ["-1,1.5,A,1", "-0.0,,B,0", "0,123.45678,A,0", "0,-0.25,B,1", "2,2,A,1", "3,2.5,B,0"]
+        path = write(tmp_path, "m,n,c,y\n" + "\n".join(rows) + "\n")
+        calls, quantile = [], np.quantile
+        monkeypatch.setattr(np, "quantile", lambda *a, **kw: calls.append(a) or quantile(*a, **kw))
+        ds = load_csv(path, "y", DiscretizationSpec(bins=bins))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        expected = reference_load(path, "y", DiscretizationSpec(bins=bins))
+        assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(column=text_columns())
