@@ -3,11 +3,13 @@
 Records are stored as integer category codes, column-major so that each
 feature's column is contiguous, plus a binary outcome vector. The dataset is
 immutable after construction and safe to share across threads.
+
+``load_csv`` checks the header, maps the outcome, merges empty cells into the
+missing label and bins numbers; ``tokenizer.read_csv`` reads every byte.
 """
 
 from __future__ import annotations
 
-import io
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -15,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .tokenizer import _cells, _decimals, _keys, read_csv
+from .tokenizer import read_csv
 
 DEFAULT_BINS = 5
 DEFAULT_MISSING_LABEL = "⟨missing⟩"
@@ -208,40 +210,10 @@ def _encode_numeric(name: str, parsed: np.ndarray, bins: int,
     return labels, codes
 
 
-
-def _distinct(data: bytes, lo: np.ndarray, hi: np.ndarray,
-              limit: float) -> tuple[list[str], np.ndarray]:
-    """The distinct cells at byte spans of data, in first-appearance order,
-    and each cell's index among them. Only one cell per category is decoded."""
-    keys = _keys(data, lo, hi, limit)
-    # np.unique's grouping, with each group's first row as its least row:
-    # return_index would sort stably, which took 3x as long on 64-bit keys
-    rows = np.argsort(keys)
-    sorted_keys = keys.take(rows)
-    new = np.empty(rows.size, dtype=bool)
-    new[0] = True
-    # the operator, not np.not_equal: numpy before 1.25 has no ufunc loop
-    # comparing bytes strings
-    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    bounds = np.flatnonzero(new)
-    first = np.minimum.reduceat(rows, bounds)
-    order = np.argsort(first)
-    codes = np.empty_like(order)
-    codes[order] = np.arange(order.size)
-    row_codes = np.empty_like(rows)
-    row_codes[rows] = np.repeat(codes, np.concatenate((bounds[1:], [rows.size])) - bounds)
-    # one cell per category: decoded one at a time, which costs less than
-    # _cells's fixed numpy overhead at these counts
-    first = first[order]
-    labels = [data[a + 1:b].decode() for a, b in zip(lo[first].tolist(), hi[first].tolist())]
-    return labels, row_codes
-
-
-def _encode_text(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float,
+def _encode_text(labels: list[str], codes: np.ndarray,
                  missing_label: str) -> tuple[list[str], np.ndarray]:
-    """Distinct cells in first-appearance order; empty cells are the missing
-    label, one category with any cell that holds that label."""
-    labels, codes = _distinct(data, lo, hi, limit)
+    """A text column's distinct cells and row codes, with empty cells as the
+    missing label: one category with any cell that holds that label."""
     if "" in labels:
         labels[labels.index("")] = missing_label
         if labels.count(missing_label) > 1:
@@ -272,22 +244,23 @@ def load_csv(path, outcome_column: str,
     """
     spec = discretization or DiscretizationSpec()
     try:
-        header, columns, body = read_csv(
+        header, columns = read_csv(
             path, lambda names: _check_header(names, outcome_column, path))
         y_col = header.index(outcome_column)
-        # a column may be numeric when its first cell is a number or empty
-        numeric = []
-        for j, (data, lo, hi) in enumerate(columns):
-            try:
-                float(data[lo[0] + 1:hi[0]].decode() or "0")
-            except ValueError:
-                continue
-            if j != y_col:
-                numeric.append(j)
-        size = len(body)
-        columns = _columns(columns, numeric, body)
-        del body
-        return _encode_columns(header, y_col, columns, size, spec)
+        features = [j for j in range(len(header)) if j != y_col]
+        numbers = columns.numbers(features)
+        outcome = _encode_outcome(*columns.categories(y_col), outcome_column)
+        schemas, codes = [], []
+        for j in features:
+            # each column's spans or parsed cells are freed as it is encoded,
+            # and the file's bytes below, before the dataset copies the codes
+            labels, column_codes = (
+                _encode_numeric(header[j], numbers.pop(j), spec.bins, spec.missing_label)
+                if j in numbers else _encode_text(*columns.categories(j), spec.missing_label))
+            schemas.append(FeatureSchema(header[j], tuple(labels)))
+            codes.append(column_codes)
+        del columns
+        return DiscreteDataset(schemas, np.array(codes, dtype=np.int32).T, outcome, outcome_column)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -305,86 +278,6 @@ def _check_header(header: list[str], outcome_column: str, path) -> None:
         raise DataError(f"outcome column {outcome_column!r} not found in header")
     if len(header) < 2:
         raise DataError(f"{path}: no feature columns besides the outcome")
-
-
-def _columns(columns: list, numeric: list[int], body: memoryview) -> list:
-    """Each column's spans, or its parsed float64 cells if it is numeric.
-    ``_decimals`` parses the ``numeric`` candidates' plain decimals from
-    their words; ``float()`` or one ``np.loadtxt`` pass over ``body``, the
-    records after the header, decides the cells it declines, and ``float()``
-    does when numpy rejects one of them."""
-    rows = columns[0][1].size
-    parsed, done = {}, {}
-    for j in numeric:
-        parsed[j], done[j] = _decimals(*columns[j])
-    declined = {j: done[j].size - np.count_nonzero(done[j]) for j in numeric}
-    rest = [j for j in numeric if declined[j]]
-    # Cells the word parse declined (over 8 bytes, exponents, spaces, text)
-    # are decided by float() when they are fewer than two a row, else by one
-    # np.loadtxt pass over their columns. On scan-large inputs float() costs
-    # about 0.2 us a cell, decoding included, and a np.loadtxt pass 0.65 us
-    # a row converting one column and 1.1 us converting ten. On 20k rows of
-    # short decimals, one %.8f column (one declined cell a row) loaded in
-    # 35.9 ms by float() against 41.9 ms by np.loadtxt, two such columns
-    # tied, and three were faster by np.loadtxt.
-    if sum(declined.values()) >= 2 * rows:
-        try:
-            # numpy's C tokenizer: commas, double quotes opening a cell only
-            # at its start, as in csv.reader, and '#' an ordinary character;
-            # it splits CR-only lines from text (newline=""), not from bytes
-            with io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="") as text:
-                loaded = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
-                                    usecols=rest, ndmin=2)
-            # one copy makes each column contiguous: binning ten 20k-row
-            # columns took 8.4 ms, against 10.6 ms on the rows' strided ones
-            parsed.update(zip(rest, np.ascontiguousarray(loaded.T)))
-            rest = []
-        except ValueError:
-            # numpy's float parser takes a subset of what float() takes (it
-            # rejects an empty cell, or one such as 1_000): float() decides
-            # the declined cells; the word-parsed ones hold float()'s values
-            pass
-    for j in rest:
-        data, lo, hi = columns[j]
-        cells = np.flatnonzero(~done[j])
-        try:
-            parsed[j][cells] = [float(c) for c in _cells(data, lo[cells], hi[cells])]
-        except ValueError:
-            parsed[j] = None
-    for j, values in parsed.items():
-        # parsed cells are never nan but empty ones: a column of empty
-        # cells only is text
-        if values is not None and (declined[j] or not np.isnan(values).all()):
-            columns[j] = values
-    return columns
-
-
-def _encode_columns(header: list[str], y_col: int, columns: list, size: int,
-                    spec: DiscretizationSpec) -> DiscreteDataset:
-    """Encode every column: the outcome to 0/1, a numeric column to quantile
-    bins, a text column to its distinct cells. ``size`` is the records' byte
-    count; a text column wider than a mean record keys Python strings."""
-    limit = size / len(columns[y_col][1])
-    outcome = _encode_outcome(*_distinct(*columns[y_col], limit), header[y_col])
-    schemas: list[FeatureSchema] = []
-    codes: list[np.ndarray] = []
-    for j, name in enumerate(header):
-        if j == y_col:
-            continue
-        # a column is dropped as it is encoded, so that the parsed cells of
-        # the encoded columns are freed while the others are encoded
-        column, columns[j] = columns[j], None
-        if isinstance(column, tuple):
-            labels, column_codes = _encode_text(*column, limit, spec.missing_label)
-        else:
-            labels, column_codes = _encode_numeric(name, column, spec.bins, spec.missing_label)
-        schemas.append(FeatureSchema(name, tuple(labels)))
-        codes.append(column_codes)
-    # the dataset copies its codes: free the parsed cells first, so that the
-    # copy does not raise the load's peak memory
-    columns.clear()
-    del column
-    return DiscreteDataset(schemas, np.array(codes, dtype=np.int32).T, outcome, header[y_col])
 
 
 def _index(value, what: str) -> int:

@@ -90,7 +90,9 @@ def sweep_k(dataset: DiscreteDataset, ranking: FeatureRanking,
     matched records against the full-feature (K = M) run; entries keep no search."""
     m = dataset.n_features
     ks = [_index(k, "k") for k in k_values]
-    if not ks or any(k < 1 or k > m for k in ks):
+    if not ks:
+        raise DataError("no K value was given")
+    if any(k < 1 or k > m for k in ks):
         raise DataError(f"k values must lie in [1, {m}]")
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise DataError("k values must be strictly ascending")

@@ -1,12 +1,15 @@
-"""CSV bytes to column spans: the byte tokenizer behind ``load_csv``.
+"""CSV bytes to columns: every byte-level decision behind ``load_csv``.
 
-``read_csv`` reads the file once, and one byte scan reads all of it, the
-header row too. numpy finds the line ends and commas with elementwise
-passes, O(bytes), which give the header's names, check the row lengths and
-give every cell's byte span. A text column, the outcome too, is keyed from
-those bytes: a cell of at most 8 bytes is one 64-bit word read at its start,
-a wider cell a fixed-width bytes string of such words. Python strings are
-built only for a column whose widest cell is longer than a mean record,
+``read_csv`` reads the file once and returns the header's names and a
+``Columns``, which hands each column out once, as float64 numbers or as its
+distinct cells and row codes: this module decides how each cell is read and
+which columns hold numbers, ``dataset.py`` what they mean. One byte scan
+reads all of the file, the header row too: numpy finds the line ends and
+commas with elementwise passes, O(bytes), which give the names, the row
+lengths and every cell's byte span. A text column, the outcome too, is keyed
+from those bytes: a cell of at most 8 bytes is one 64-bit word read at its
+start, a wider cell a fixed-width bytes string of such words. Python strings
+are built only for a column whose widest cell is longer than a mean record,
 which bounds the keys at about one byte per file byte.
 
 Quotes are read as ``csv.reader`` reads them, over runs of adjacent quote
@@ -36,7 +39,8 @@ cell is declined (a wider cell, an exponent, a space, text).
 from __future__ import annotations
 
 import codecs
-from typing import Callable
+import io
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -173,11 +177,112 @@ def _keys(data: bytes, lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarr
     return np.column_stack(words).view(f"S{8 * len(words)}").ravel()
 
 
-def read_csv(path, check_header: Callable) -> tuple[list[str], list[tuple], memoryview]:
-    """Read the CSV file at ``path``, in one read: its header's names, each
-    column's cells as byte spans (data, lo, hi), where cell i is
-    data[lo[i] + 1:hi[i]], and the bytes of the records after the header.
-    ``check_header`` sees the names before any record's length is checked.
+def _distinct(data: bytes, lo: np.ndarray, hi: np.ndarray,
+              limit: float) -> tuple[list[str], np.ndarray]:
+    """The distinct cells at byte spans of data, in first-appearance order,
+    and each cell's index among them, keyed by ``_keys`` with ``limit``.
+    Only one cell per category is decoded."""
+    keys = _keys(data, lo, hi, limit)
+    # np.unique's grouping, with each group's first row as its least row:
+    # return_index would sort stably, which took 3x as long on 64-bit keys
+    rows = np.argsort(keys)
+    sorted_keys = keys.take(rows)
+    new = np.empty(rows.size, dtype=bool)
+    new[0] = True
+    # the operator, not np.not_equal: numpy before 1.25 has no ufunc loop
+    # comparing bytes strings
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    bounds = np.flatnonzero(new)
+    first = np.minimum.reduceat(rows, bounds)
+    order = np.argsort(first)
+    codes = np.empty_like(order)
+    codes[order] = np.arange(order.size)
+    row_codes = np.empty_like(rows)
+    row_codes[rows] = np.repeat(codes, np.concatenate((bounds[1:], [rows.size])) - bounds)
+    # one cell per category: decoded one at a time, which costs less than
+    # _cells's fixed numpy overhead at these counts
+    first = first[order]
+    labels = [data[a + 1:b].decode() for a, b in zip(lo[first].tolist(), hi[first].tolist())]
+    return labels, row_codes
+
+
+class Columns:
+    """The cells of a CSV file's columns at byte spans of ``data``: row i of
+    column j is data[lo[j][i] + 1:hi[j][i]], row 0 its name, and ``records``
+    the bytes after the header. ``numbers`` and ``categories`` hand each
+    column's records out once and drop its spans."""
+
+    def __init__(self, data: bytes, lo: list, hi: list, records: memoryview):
+        self._data, self._records, self._rows = data, records, lo[0].size - 1
+        self._spans = {j: (a[1:], b[1:]) for j, (a, b) in enumerate(zip(lo, hi))}
+
+    def categories(self, j: int) -> tuple[list[str], np.ndarray]:
+        """Column j's distinct cells in first-appearance order, and each row's
+        index among them; a column whose widest cell is longer than a mean
+        record is keyed by Python strings (``_keys``)."""
+        lo, hi = self._spans.pop(j)
+        return _distinct(self._data, lo, hi, len(self._records) / self._rows)
+
+    def numbers(self, columns: Iterable[int]) -> dict[int, np.ndarray]:
+        """Those of the given columns that hold numbers, as float64, an empty
+        cell nan: whose first cell is a number or empty, and whose cells
+        ``float()`` takes, but not all empty. ``_decimals`` parses the plain
+        decimals; ``float()`` or one ``np.loadtxt`` pass over the records
+        decides the cells it declines, ``float()`` when numpy rejects one."""
+        data, parsed, done = self._data, {}, {}
+        for j in columns:
+            lo, hi = self._spans[j]
+            try:
+                float(data[lo[0] + 1:hi[0]].decode() or "0")
+            except ValueError:
+                continue
+            parsed[j], done[j] = _decimals(data, lo, hi)
+        declined = {j: done[j].size - np.count_nonzero(done[j]) for j in parsed}
+        rest = [j for j in parsed if declined[j]]
+        # Cells the word parse declined (over 8 bytes, exponents, spaces, text)
+        # are decided by float() when they are fewer than two a row, else by one
+        # np.loadtxt pass over their columns. On scan-large inputs float() costs
+        # about 0.2 us a cell, decoding included, and a np.loadtxt pass 0.65 us
+        # a row converting one column and 1.1 us converting ten. On 20k rows of
+        # short decimals, one %.8f column (one declined cell a row) loaded in
+        # 35.9 ms by float() against 41.9 ms by np.loadtxt, two such columns
+        # tied, and three were faster by np.loadtxt.
+        if sum(declined.values()) >= 2 * self._rows:
+            try:
+                # numpy's C tokenizer: commas, double quotes opening a cell only
+                # at its start, as in csv.reader, and '#' an ordinary character;
+                # it splits CR-only lines from text (newline=""), not from bytes
+                with io.TextIOWrapper(io.BytesIO(self._records), "utf-8", newline="") as text:
+                    loaded = np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
+                                        usecols=rest, ndmin=2)
+                # one copy makes each column contiguous: binning ten 20k-row
+                # columns took 8.4 ms, against 10.6 ms on the rows' strided ones
+                parsed.update(zip(rest, np.ascontiguousarray(loaded.T)))
+                rest = []
+            except ValueError:
+                # numpy's float parser takes a subset of what float() takes (it
+                # rejects an empty cell, or one such as 1_000): float() decides
+                # the declined cells; the word-parsed ones hold float()'s values
+                pass
+        for j in rest:
+            lo, hi = self._spans[j]
+            cells = np.flatnonzero(~done[j])
+            try:
+                parsed[j][cells] = [float(c) for c in _cells(data, lo[cells], hi[cells])]
+            except ValueError:
+                del parsed[j]
+        # parsed cells are never nan but empty ones: a column of empty cells
+        # only is text
+        numbers = {j: v for j, v in parsed.items() if declined[j] or not np.isnan(v).all()}
+        for j in numbers:
+            del self._spans[j]
+        return numbers
+
+
+def read_csv(path, check_header: Callable) -> tuple[list[str], Columns]:
+    """Read the CSV file at ``path``, in one read: its header's names and the
+    records' cells, as ``Columns``. ``check_header`` sees the names before
+    any record's length is checked.
 
     Line 0 is the header. An unquoted cell lies between its delimiters, the
     first of which ends the line before in the first column; ``_unquote``
@@ -218,7 +323,6 @@ def read_csv(path, check_header: Callable) -> tuple[list[str], list[tuple], memo
     keep[1:] &= not bad.size
     row_lo, row_hi = starts[keep] - 1, stops[keep]
     bounds = commas[:last[0] if bad.size else None].reshape(row_lo.size, ncols - 1)
-    body = memoryview(data)[stops[0] + 1:size]
     # a contiguous copy of each column, which is read several times: 20k
     # offsets took about 7 us to read contiguous, 40 us strided across rows.
     # Column by column, the copies loaded scan-large inputs about 3 ms
@@ -236,7 +340,7 @@ def read_csv(path, check_header: Callable) -> tuple[list[str], list[tuple], memo
         raise DataError(f"{path}: no data rows")
     if bad.size:
         raise DataError(f"{path}: row {bad[0] + 1} has {fields[0]} fields, expected {ncols}")
-    return header, [(data, a[1:], b[1:]) for a, b in zip(lo, hi)], body
+    return header, Columns(data, lo, hi, memoryview(data)[stops[0] + 1:size])
 
 
 def _quotes(raw: np.ndarray, origin: int) -> tuple[np.ndarray, ...]:

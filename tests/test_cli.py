@@ -323,6 +323,12 @@ class TestSweepCommand:
                                "--k", "2,x"])
         assert code == 1
 
+    def test_empty_k_list(self, capsys, planted_csv):
+        path, _ = planted_csv
+        code = main(["sweep", "--input", path, "--outcome-col", "y", "--k", ","])
+        assert code == 2
+        assert "data error: no K value was given" in capsys.readouterr().err
+
     def test_format_is_not_an_option(self, capsys, planted_csv):
         path, _ = planted_csv
         code, _ = run(capsys, ["sweep", "--input", path, "--outcome-col", "y",

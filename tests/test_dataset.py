@@ -22,9 +22,9 @@ from safs import (
     stratify,
     subgroup_mask,
 )
-from safs import dataset
+from safs import tokenizer
 from safs.dataset import DEFAULT_MISSING_LABEL, _bin_labels, _encode_numeric, _encode_text
-from safs.tokenizer import _decimals, _keys
+from safs.tokenizer import _decimals, _distinct, _keys
 from synth import make_dataset, noise_dataset, planted_dataset, random_dataset, write_csv
 
 
@@ -312,9 +312,9 @@ class TestIngestRules:
             rows[17][0] = ""
         path = write(tmp_path, "\n".join([names] + [",".join(row) for row in rows]) + "\n")
         seen, decoded = [], []
-        loadtxt, cells = np.loadtxt, dataset._cells
+        loadtxt, cells = np.loadtxt, tokenizer._cells
         monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
-        monkeypatch.setattr(dataset, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
+        monkeypatch.setattr(tokenizer, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
         ds = load_csv(path, "y")
         assert [kw["usecols"] for kw in seen] == [[0, 1]] * calls
         # float() decides the w cells that no np.loadtxt pass parses
@@ -327,10 +327,10 @@ class TestIngestRules:
         rows = [f"{rng.lognormal():.8f},c{i % 3},{i % 2}" for i in range(300)]
         path = write(tmp_path, "w,t,y\n" + "\n".join(rows) + "\n")
         opened, decoded = [], []
-        real_open, cells = builtins.open, dataset._cells
+        real_open, cells = builtins.open, tokenizer._cells
         monkeypatch.setattr(builtins, "open",
                             lambda *a, **kw: opened.append(a) or real_open(*a, **kw))
-        monkeypatch.setattr(dataset, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
+        monkeypatch.setattr(tokenizer, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
         ds = load_csv(path, "y")
         monkeypatch.undo()
         assert opened == [(path, "rb")]
@@ -345,9 +345,9 @@ class TestIngestRules:
         path = tmp_path / "cr.csv"
         path.write_bytes(("\r".join(["a,b,y"] + rows) + "\r").encode())
         seen, decoded = [], []
-        loadtxt, cells = np.loadtxt, dataset._cells
+        loadtxt, cells = np.loadtxt, tokenizer._cells
         monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
-        monkeypatch.setattr(dataset, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
+        monkeypatch.setattr(tokenizer, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
         ds = load_csv(path, "y")
         assert [kw["usecols"] for kw in seen] == [[0, 1]]
         assert decoded == []
@@ -366,13 +366,41 @@ class TestIngestRules:
         path = write(tmp_path, "a,b,c,y\n" + "".join(
             ",".join(row + [str(i % 2)]) + "\n" for i, row in enumerate(rows)))
         seen, decoded = [], []
-        loadtxt, cells = np.loadtxt, dataset._cells
+        loadtxt, cells = np.loadtxt, tokenizer._cells
         monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
-        monkeypatch.setattr(dataset, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
+        monkeypatch.setattr(tokenizer, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
         ds = load_csv(path, "y")
         assert [kw["usecols"] for kw in seen] == [[0, 1, 2]]
         assert sorted(decoded) == sorted(c for row in rows for c in row if len(c) > 8 or "_" in c)
         assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == reference_load(path, "y")
+
+    @pytest.mark.parametrize("fmt, low", [("%.5f", 2), ("%.8f", -4), ("%.12g", -4),
+                                          ("%.6e", -4), ("repr", -4)])
+    def test_parse_table_formats_by_np_loadtxt_and_by_float(self, tmp_path, monkeypatch,
+                                                            fmt, low):
+        # the cell formats of the numeric parse table in ROADMAP.md, on values
+        # of both signs with magnitudes from 10**low to 10**4: every cell has
+        # 9 or more bytes (%.5f ones too), so the word parse declines it, and
+        # %.6e cells have exponents of both signs. One np.loadtxt pass parses
+        # two such columns, and float() decides the cells of one
+        rng = np.random.default_rng(7)
+        values = rng.choice([-1, 1], (300, 2)) * 10 ** rng.uniform(low, 4, (300, 2))
+        rows = [[repr(v) if fmt == "repr" else fmt % v for v in row] for row in values.tolist()]
+        assert min(len(cell) for row in rows for cell in row) > 8
+        seen, decoded = [], []
+        loadtxt, cells = np.loadtxt, tokenizer._cells
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
+        monkeypatch.setattr(tokenizer, "_cells", lambda *a: decoded.extend(cells(*a)) or cells(*a))
+        for names, calls, floats in (["a", "b"], [[0, 1]], 0), (["a"], [], 300):
+            path = write(tmp_path, ",".join(names + ["y"]) + "\n" + "".join(
+                ",".join(row[:len(names)] + [str(i % 2)]) + "\n" for i, row in enumerate(rows)))
+            seen.clear()
+            decoded.clear()
+            ds = load_csv(path, "y")
+            assert [kw["usecols"] for kw in seen] == calls
+            assert len(decoded) == floats
+            expected = reference_load(path, "y")
+            assert (ds.schemas, ds.codes.tolist(), ds.outcome.tolist()) == expected
 
     @pytest.mark.parametrize("text", [
         'c,y\nA,1\n""\nB,0\n',  # a record of one empty field, not a blank line
@@ -651,7 +679,7 @@ class TestIngestProperties:
         expected = dict_encode(cells, missing_label)
         # keyed by bytes, and as Python strings when a cell is over the limit
         for limit in (np.inf, 0):
-            labels, codes = _encode_text(*_spans(cells), limit, missing_label)
+            labels, codes = _encode_text(*_distinct(*_spans(cells), limit), missing_label)
             assert (labels, codes.tolist()) == expected
 
     @pytest.mark.parametrize("longest", [3, 8, 9])
@@ -666,7 +694,7 @@ class TestIngestProperties:
             grown = [c + a for c in grown for a in alphabet if len((c + a).encode()) <= longest]
         cells = np.random.default_rng(0).permutation(cells * 2).tolist()
         assert _keys(*_spans(cells), np.inf).dtype == ("S16" if longest > 8 else "uint64")
-        labels, codes = _encode_text(*_spans(cells), np.inf, DEFAULT_MISSING_LABEL)
+        labels, codes = _encode_text(*_distinct(*_spans(cells), np.inf), DEFAULT_MISSING_LABEL)
         assert (labels, codes.tolist()) == dict_encode(cells, DEFAULT_MISSING_LABEL)
 
     @settings(max_examples=300, deadline=None)

@@ -156,7 +156,9 @@ class TestSweepK:
         ds = random_dataset(5)
         ranking = safs_rank(ds)
         config = ScanConfig(restarts=1, seed=0)
-        for bad in ([], [0, 2], [2, 5], [3, 2], [2, 2]):
+        with pytest.raises(DataError, match="^no K value was given$"):
+            sweep_k(ds, ranking, [], config)
+        for bad in ([0, 2], [2, 5], [3, 2], [2, 2]):
             with pytest.raises(DataError):
                 sweep_k(ds, ranking, bad, config)
         with pytest.raises(DataError):
