@@ -20,7 +20,7 @@ from .errors import DataError, SafsError
 from .evaluation import overlap_matrix, sweep_k
 from .ranking import (METHOD_MI, METHOD_SAFS, FeatureRanking,
                       mutual_information_rank, safs_rank, top_k)
-from .report import SubgroupReport, build_report, empirical_p_value, report_text
+from .report import SubgroupReport, _permutation_test, build_report, report_text
 from .scanner import ScanConfig, ScanResult, scan
 
 SCHEMA = "safs/1"
@@ -243,12 +243,13 @@ def pipeline_command(top_k, permutations, threads, out, fmt, **kw):
         raise DataError(f"threads must be >= 1, got {threads}")
     dataset, result, payload, volatile = _scan_run(top_k, **kw)
     t0 = time.perf_counter()
-    p_value = empirical_p_value(result, permutations)
+    p_value, replicate_truncated = _permutation_test(result, permutations)
     p_value_ms = (time.perf_counter() - t0) * 1000
     report = build_report(dataset, result, p_value)
     payload = {**payload, **_subgroup_fields(report, dataset), "kind": "pipeline",
                "permutations": permutations, "no_divergence": result.no_divergence}
-    doc = _document("pipeline", payload, {**volatile, "p_value_ms": p_value_ms})
+    doc = _document("pipeline", payload, {**volatile, "p_value_ms": p_value_ms,
+                                          "replicate_truncated_ascents": replicate_truncated})
     _emit(report_text(report, dataset) + "\n" if fmt == "text" else canonical_json(doc), out)
 
 

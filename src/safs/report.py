@@ -54,14 +54,21 @@ def empirical_p_value(result: ScanResult, permutations: int = 100) -> float:
     p-value must not run from two threads at once. A ``brute_force_scan``
     result keeps no search and raises ``DataError``.
     """
+    return _permutation_test(result, permutations)[0]
+
+
+def _permutation_test(result: ScanResult, permutations: int) -> tuple[float, int]:
+    """:func:`empirical_p_value` and how many replicate ascents were cut off
+    at ``_MAX_PASSES`` passes while still improving."""
     if permutations < 1:
         raise DataError("permutations must be >= 1")
     if math.isnan(result.score):
         raise DataError("observed score is nan")
     if (search := result._search) is None:
         raise DataError("the result keeps no search to rerun: only scan() results do")
-    exceed = sum(1 for s in search.permuted_scores(permutations) if s >= result.score)
-    return (1 + exceed) / (permutations + 1)
+    scores, cut_off = search.permuted_scores(permutations)
+    exceed = sum(1 for s in scores if s >= result.score)
+    return (1 + exceed) / (permutations + 1), cut_off
 
 
 def build_report(dataset: DiscreteDataset, scan_result: ScanResult,

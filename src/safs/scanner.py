@@ -16,8 +16,9 @@ records, O(N). Sorting the values and scoring the prefixes adds O(C log C)
 and C memo lookups, with a Python-level score call for each (n_s, sum_y)
 pair the kernel has not scored before. A two-category step is closed-form:
 four bit counts, a comparison of integer cross-products for the order and
-two memo lookups, with no sort. The AND of every constraint is kept until a
-constraint changes, so a step on an unconstrained feature reuses it. A step
+two memo lookups, with no sort. The kernel always holds the AND of every
+constraint: a step sets it from the AND of the other constraints it has
+already made, so a step on an unconstrained feature reuses it. A step
 whose answer cannot have changed since the feature's last step is skipped.
 A changed constraint of a feature with at most ``_MASKS_MAX_CARD``
 categories is the OR of its values' masks, O(C*N/64); a wider one is
@@ -263,7 +264,8 @@ class _ScanKernel:
     are few or weighted by the unpacked mask. A feature of at most
     ``_MASKS_MAX_CARD`` categories keeps a mask per value, which a changed
     constraint ORs; a wider one rebuilds it from its keys. ``matched`` is
-    the AND of every constraint's mask, or None until it is next needed.
+    always the AND of every current constraint's mask: ``load`` builds it
+    with the masks, and ``step`` sets it from the other constraints' AND.
     """
 
     def __init__(self, dataset: DiscreteDataset, features: Sequence[int], direction: str):
@@ -292,7 +294,7 @@ class _ScanKernel:
         self.scores: dict[tuple[int, int], float] = {}
         self.constraints: dict[int, frozenset[int]] = {}
         self.allowed: dict[int, int] = {}
-        self.matched: int | None = None
+        self.matched = self.all_bits
 
     def relabel(self, y: np.ndarray) -> None:
         """Make ``y`` the outcome of every record. ``y`` must keep the
@@ -325,19 +327,9 @@ class _ScanKernel:
         admitted[list(values)] = True
         return _bits_from_bool(admitted.repeat(2).take(self.keys[feature]))
 
-    def _constrain(self, feature: int, values: frozenset[int]) -> None:
-        self.constraints[feature] = values
-        self.allowed[feature] = self._mask(feature, values)
-        self.matched = None
-
-    def _matching(self, skip: int | None = None) -> int:
+    def _matching(self, skip: int) -> int:
         """Records matching every current constraint but ``skip``'s."""
         if skip not in self.allowed:
-            if self.matched is None:
-                mask = self.all_bits
-                for allowed in self.allowed.values():
-                    mask &= allowed
-                self.matched = mask
             return self.matched
         mask = self.all_bits
         for f, allowed in self.allowed.items():
@@ -359,10 +351,12 @@ class _ScanKernel:
     def load(self, descriptor: SubgroupDescriptor) -> float | None:
         """Make ``descriptor`` the current subgroup and return its score,
         or None when it matches no record."""
-        self.constraints, self.allowed, self.matched = {}, {}, None
+        self.constraints, self.allowed, matched = {}, {}, self.all_bits
         for f, values in descriptor.constraints.items():
-            self._constrain(f, values)
-        matched = self._matching()
+            self.constraints[f] = values
+            self.allowed[f] = mask = self._mask(f, values)
+            matched &= mask
+        self.matched = matched
         n_s = matched.bit_count()
         if not n_s:
             return None
@@ -393,17 +387,21 @@ class _ScanKernel:
     def step(self, feature: int) -> tuple[frozenset[int] | None, float]:
         """Replace one feature's constraint by the best value set given the
         others; return that set (None: unconstrained) and the new score."""
-        others = self._matching(skip=feature)
+        others = self._matching(feature)
+        if not others:
+            raise DataError("no records match the remaining constraints")
         if self.cards[feature] == 2:
             values, score = self._two_value_step(feature, others)
         else:
             values, score = self._prefix_step(feature, others)
         if values is None:
-            if self.allowed.pop(feature, None) is not None:
-                del self.constraints[feature]
-                self.matched = None
+            self.constraints.pop(feature, None)
+            self.allowed.pop(feature, None)
+            self.matched = others
         elif values != self.constraints.get(feature):
-            self._constrain(feature, values)
+            self.constraints[feature] = values
+            self.allowed[feature] = mask = self._mask(feature, values)
+            self.matched = others & mask
         return values, score
 
     def _prefix_step(self, feature: int, others: int) -> tuple[frozenset[int] | None, float]:
@@ -411,8 +409,6 @@ class _ScanKernel:
         and its score: values sorted by rate, then every prefix scored."""
         counts, sums = self._value_counts(feature, others)
         supported = [v for v, n in enumerate(counts) if n]
-        if not supported:
-            raise DataError("no records match the remaining constraints")
         sign = -1.0 if self.direction == OVER else 1.0
         order = sorted(supported, key=lambda v: (sign * (sums[v] / counts[v]), v))
         n_s = sum_y = 0
@@ -432,8 +428,6 @@ class _ScanKernel:
         scores the same two prefixes through the same memo, so the score is
         the same bit for bit."""
         n = others.bit_count()
-        if not n:
-            raise DataError("no records match the remaining constraints")
         positives = others & self.y_bits
         s = positives.bit_count()
         b0 = self.value_bits[feature][0]
@@ -597,7 +591,7 @@ def _climb(kernel: _ScanKernel, plan: Sequence[_Restart]) -> list[_Climb]:
     climbs = []
     for restart in plan:
         score, cut_off = _ascend(kernel, restart)
-        climbs.append(_Climb(score, dict(kernel.constraints), kernel._matching(), cut_off))
+        climbs.append(_Climb(score, dict(kernel.constraints), kernel.matched, cut_off))
     return climbs
 
 
@@ -608,17 +602,20 @@ class _Search(NamedTuple):
     plan: list[_Restart]
     seed: int
 
-    def permuted_scores(self, permutations: int) -> list[float]:
+    def permuted_scores(self, permutations: int) -> tuple[list[float], int]:
         """The scan's best score under each of ``permutations`` label
         permutations, seeded from the scan's seed apart from its restart
-        stream; the labels are restored after."""
+        stream, and how many of their ascents ``_MAX_PASSES`` cut off; the
+        labels are restored after."""
         y = self.kernel.outcome
         try:
-            scores = []
+            scores, cut_off = [], 0
             for s in np.random.SeedSequence([_PERMUTE_KEY, self.seed]).spawn(permutations):
                 self.kernel.relabel(y[np.random.default_rng(s).permutation(y.size)])
-                scores.append(max(c.score for c in _climb(self.kernel, self.plan)))
-            return scores
+                climbs = _climb(self.kernel, self.plan)
+                scores.append(max(c.score for c in climbs))
+                cut_off += sum(c.cut_off for c in climbs)
+            return scores, cut_off
         finally:
             self.kernel.relabel(y)
 

@@ -352,6 +352,18 @@ class TestSearchLimits:
             assert doc["volatile"]["fallback_starts"] == 3
             assert doc["volatile"]["truncated_ascents"] == 0
             assert not {"fallback_starts", "truncated_ascents"} & set(doc["payload"])
+        assert docs[1]["volatile"]["replicate_truncated_ascents"] == 0
+
+    def test_replicate_truncated_ascents_in_volatile(self, capsys, monkeypatch, planted_csv):
+        # one pass per ascent: an ascent that improves in it is cut off
+        monkeypatch.setattr(scanner, "_MAX_PASSES", 1)
+        code, out = run(capsys, ["pipeline", "--input", planted_csv[0], "--outcome-col", "y",
+                                 "--restarts", "3", "--permutations", "5"])
+        assert code == 0
+        doc = json.loads(out)
+        count = doc["volatile"]["replicate_truncated_ascents"]
+        assert type(count) is int and count > 0
+        assert "replicate_truncated_ascents" not in doc["payload"]
 
 
 class TestExitCodes:

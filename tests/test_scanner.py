@@ -524,10 +524,24 @@ class TestKernelProperties:
             else:
                 kernel.relabel(ds.outcome[rng.permutation(ds.n_records)])
             fresh = _bits_from_bool(constraints_bool_mask(ds, kernel.constraints))
-            assert kernel._matching() == fresh
+            assert kernel.matched == fresh
             for f in range(ds.n_features):
                 if f not in kernel.constraints:
                     assert kernel._matching(f) == fresh
+
+    # feature 1 never takes value 0, so its constraint {0} admits no record;
+    # features 0, 2 and 3 step by the closed form, bit counts and keys
+    @pytest.mark.parametrize("feature", [0, 2, 3])
+    def test_step_on_no_records_leaves_the_subgroup(self, feature):
+        cards = [2, 2, 3, _BITS_MAX_CARD + 1]
+        rows = [[i % 2, 1, i % 3, i % cards[3]] for i in range(40)]
+        ds = make_dataset(cards, rows, [i % 3 == 0 for i in range(40)])
+        kernel = _ScanKernel(ds, list(range(4)), OVER)
+        assert kernel.load(SubgroupDescriptor({0: {0}, 1: {0}, 2: {1, 2}, 3: {0, 5}})) is None
+        before = dict(kernel.constraints), dict(kernel.allowed), kernel.matched
+        with pytest.raises(DataError, match="no records match the remaining constraints"):
+            kernel.step(feature)
+        assert (kernel.constraints, kernel.allowed, kernel.matched) == before
 
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_cases(cards=st.integers(1, 6)), step=st.integers(0, 3))
@@ -590,8 +604,7 @@ class TestKernelRoutes:
         rng = np.random.default_rng(0)
         for size in (1, 2, card // 2, card - 1):
             values = frozenset(rng.choice(card, size, replace=False).tolist())
-            kernel._constrain(0, values)
-            assert kernel.allowed[0] == _bits_from_bool(np.isin(codes, sorted(values)))
+            assert kernel._mask(0, values) == _bits_from_bool(np.isin(codes, sorted(values)))
 
 
 @st.composite
@@ -697,7 +710,7 @@ class TestRelabelledScores:
                                          ds.outcome_name), feats, config).score
                     for order in orders]
         result = scan(ds, feats, config)
-        assert result._search.permuted_scores(permutations) == expected
+        assert result._search.permuted_scores(permutations)[0] == expected
         exceed = sum(1 for s in expected if s >= result.score)
         assert empirical_p_value(result, permutations) == (1 + exceed) / (permutations + 1)
 
@@ -789,8 +802,9 @@ class TestRestartPlan:
         expected = [reference_scan(DiscreteDataset(ds.schemas, ds.codes, ds.outcome[order],
                                                    ds.outcome_name), feats, config)
                     for order in orders]
-        assert (got._search.permuted_scores(permutations)
-                == [best_restart(found)[0] for found in expected])
+        assert got._search.permuted_scores(permutations) == (
+            [best_restart(found)[0] for found in expected],
+            sum(cut_off for found in expected for _, _, cut_off in found))
         kernel, plan = got._search.kernel, got._search.plan
         for order, found in zip(orders, expected):
             kernel.relabel(ds.outcome[order])
