@@ -9,10 +9,10 @@ Cost: a scan holds record sets as bitmasks, 64 records to a machine word.
 A coordinate step on a feature with C categories ANDs the other constraints'
 masks, O(K*N/64) word operations for K features and N records, then counts
 records and positives per value. Up to ``_BITS_MAX_CARD`` categories that is
-2*C bit counts, O(C*N/64). Above it, when the other constraints admit m
-records and m is at most N/16, their indices are gathered from the mask's N/8
-bytes and their keys counted, O(N/8 + m); else one ``bincount`` over the N
-records, O(N). Sorting the values and scoring the prefixes adds O(C log C)
+2*C bit counts, O(C*N/64). Above it, the other constraints' mask is unpacked
+to a byte per record, O(N), and when it admits m <= N/16 records the m keys
+it selects are counted, O(m); else one ``bincount`` weighs all N keys by it,
+O(N). Sorting the values and scoring the prefixes adds O(C log C)
 and C memo lookups, with a Python-level score call for each (n_s, sum_y)
 pair the kernel has not scored before. A two-category step is closed-form:
 four bit counts, a comparison of integer cross-products for the order and
@@ -58,11 +58,11 @@ _MAX_PASSES = 50
 _PERMUTE_KEY = 0x70657200
 # a step counts a feature with at most this many categories by bit_count
 # and a wider one from its keys. Both counts are exact, so no answer depends
-# on it. Per step (median of alternating calls, the other constraints
-# admitting half the records; a 2-vCPU Xeon, Python 3.11, numpy 2.4),
-# bincount wins the count alone from C = 14 at N = 20k, C = 16 at 200k and
-# C = 20 at 10^6 (bits against bincount there: 3.8 against 3.2 ms, and
-# 2.1 against 3.0 ms at C = 12).
+# on it. Per count (median of alternating calls; a 2-vCPU Xeon, Python 3.11,
+# numpy 2.4), keys win from C = 10-12 at N = 20k and 200k and from C = 16-20
+# at 10^6 with half the records admitted (65 against 78 us by bits at C = 12,
+# N = 20k), and from C = 8 at 20k and up with 0.5% admitted, the median
+# scan-large wide step (26 against 49 us at C = 8, N = 20k; tied at 5k)
 _BITS_MAX_CARD = 12
 # a feature with at most this many categories keeps one record mask per
 # value, so a changed constraint is the OR of its values' masks: on
@@ -71,17 +71,16 @@ _BITS_MAX_CARD = 12
 # masks equal the 8N bytes of a wide feature's keys; at 300 categories
 # masks would take 37.5 bytes a record
 _MASKS_MAX_CARD = 64
-# a wide feature's step gathers the records the other constraints admit
-# and counts their keys when they are at most n/_GATHER_SHARE of the n
-# records, else it runs one bincount over all n weighted by the unpacked
-# mask. At N = 20k and C = 20, gathering took 16-19 us for 10-100 admitted
-# records against 41 us by bincount, broke even near n/25 and took 51 us at
-# n/16. On scan-large inputs the median wide step admits 0.5% of the
-# records and 77% admit at most n/16; a switch at n/64 measured the same
-# end to end within noise
-_GATHER_SHARE = 16
-# bit positions of a byte, for gathering record indices from mask bytes
-_BYTE_BITS = np.arange(8)
+# a wide feature's step unpacks the other constraints' mask once and counts
+# the keys it selects when it admits at most n/_COMPRESS_SHARE of the n
+# records, else every key weighted by it. Per call at C = 30 (as above),
+# selected against weighted: 22 against 55 us at N = 20k and 0.5% admitted,
+# 56 against 56 us at n/16; 154 against 561 and 569 against 555 us at 200k.
+# Up to n/16 they also beat a gather of the mask's nonzero bytes at 5k, 20k
+# and 200k (22 against 34 us at 20k and 0.5%). At 10^6, which no gated
+# workload reaches, they tie that gather up to 0.1% admitted (657 against
+# 663 us) and beat it above (2.8 against 5.1 ms at n/16; weighted 3.2 ms)
+_COMPRESS_SHARE = 16
 # a two-category feature's constraint admitting one value, by value
 _ONE_VALUE = (frozenset({0}), frozenset({1}))
 
@@ -260,8 +259,8 @@ class _ScanKernel:
     constraint but f's are the AND of the other masks. A step counts
     records and positives per value of f among them: by bit-counting one
     mask per value when f has at most ``_BITS_MAX_CARD`` categories, else
-    from the keys ``2*code + y``, gathered at the admitted records when they
-    are few or weighted by the unpacked mask. A feature of at most
+    from the keys ``2*code + y``, selected by the unpacked mask when it
+    admits few records or weighted by it. A feature of at most
     ``_MASKS_MAX_CARD`` categories keeps a mask per value, which a changed
     constraint ORs; a wider one rebuilds it from its keys. ``matched`` is
     always the AND of every current constraint's mask: ``load`` builds it
@@ -370,16 +369,12 @@ class _ScanKernel:
             return ([(others & b).bit_count() for b in bits],
                     [(positives & b).bit_count() for b in bits])
         keys = self.keys[feature]
-        if others.bit_count() * _GATHER_SHARE <= self.n:
-            # the admitted records' indices, from the mask's nonzero bytes
-            b = np.frombuffer(others.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-            nz = b.nonzero()[0]
-            hits = np.unpackbits(b[nz, None], axis=1, bitorder="little").view(bool)
-            both = np.bincount(keys.take((nz[:, None] * 8 + _BYTE_BITS)[hits]),
-                               minlength=2 * self.cards[feature])
+        admitted = _bool_from_bits(others, self.n)
+        if others.bit_count() * _COMPRESS_SHARE <= self.n:
+            both = np.bincount(keys[admitted.view(bool)], minlength=2 * self.cards[feature])
         else:
             # 0/1 weights: the sums are exact integers
-            both = np.bincount(keys, weights=_bool_from_bits(others, self.n),
+            both = np.bincount(keys, weights=admitted,
                                minlength=2 * self.cards[feature]).astype(np.int64)
         sums = both[1::2]
         return (both[0::2] + sums).tolist(), sums.tolist()

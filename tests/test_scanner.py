@@ -583,19 +583,24 @@ def one_feature_kernel(card, n=1003):
 
 class TestKernelRoutes:
 
-    # a wide feature counts by gathering the admitted records up to n/16 of
-    # them, else by a bincount over all n; n = 1003 is not a multiple of 8
+    # a wide feature counts the keys its unpacked mask selects up to n/16
+    # admitted records, else weighs every key by that mask. The last record,
+    # in the mask's part-filled last byte (n = 1003), is always admitted.
+    # Both routes also count a permuted outcome's keys
     @pytest.mark.parametrize("card", [_BITS_MAX_CARD + 1, 64, 65, 300])
-    @pytest.mark.parametrize("admitted", [1, 1003 // 16, 1003 // 16 + 1, 1003])
+    @pytest.mark.parametrize("admitted", [1, 1003 // 64, 1003 // 16, 1003 // 16 + 1,
+                                          1003 // 5, 1003])
     def test_wide_value_counts_match_a_direct_tally(self, card, admitted):
         kernel, codes = one_feature_kernel(card)
+        rng = np.random.default_rng(admitted)
         mask = np.zeros(kernel.n, dtype=bool)
-        mask[np.random.default_rng(admitted).permutation(kernel.n)[:admitted]] = True
-        both = np.bincount(2 * codes + kernel.outcome, weights=mask,
-                           minlength=2 * card).astype(int)
-        counts, sums = kernel._value_counts(0, _bits_from_bool(mask))
-        assert counts == (both[0::2] + both[1::2]).tolist()
-        assert sums == both[1::2].tolist()
+        mask[np.r_[kernel.n - 1, rng.permutation(kernel.n - 1)[:admitted - 1]]] = True
+        for y in (kernel.outcome, rng.permutation(kernel.outcome)):
+            kernel.relabel(y)
+            both = np.bincount(2 * codes + y, weights=mask, minlength=2 * card).astype(int)
+            counts, sums = kernel._value_counts(0, _bits_from_bool(mask))
+            assert counts == (both[0::2] + both[1::2]).tolist()
+            assert sums == both[1::2].tolist()
 
     # ORed value masks up to 64 categories, a rebuild from the keys above
     @pytest.mark.parametrize("card", [_BITS_MAX_CARD, _BITS_MAX_CARD + 1, 64, 65])
